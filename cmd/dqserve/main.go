@@ -254,7 +254,7 @@ func main() {
 				"checkpointSeq", ds.LastCheckpointSeq, "ops", st.Ops)
 		}
 	}
-	logger.Info("seeded monitor", "rules", len(rules), "violations", len(svc.Violations()))
+	logger.Info("seeded monitor", "rules", len(rules), "violations", svc.State().NumViolations())
 
 	handler := serve.NewHandler(svc)
 	handler.MaxBatchBytes = *maxBody
@@ -307,7 +307,7 @@ func main() {
 		logger.Warn("service drain", "err", err)
 	}
 	st := svc.State()
-	logger.Info("stopped", "seq", st.Seq, "ops", st.Ops, "violations", len(st.Violations))
+	logger.Info("stopped", "seq", st.Seq, "ops", st.Ops, "violations", st.NumViolations())
 }
 
 // parseRules opens and parses one rule file with the class parser.

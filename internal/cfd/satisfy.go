@@ -1,9 +1,9 @@
 package cfd
 
 import (
-	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 
 	"repro/internal/relation"
 )
@@ -41,12 +41,29 @@ type Violation struct {
 }
 
 // String renders the violation for reports.
-func (v Violation) String() string {
-	attr := v.CFD.Schema().Attr(v.Attr).Name
+func (v Violation) String() string { return string(v.AppendTo(nil)) }
+
+// AppendTo appends String's rendering to dst — the form for reports
+// that render violations by the ten thousand:
+//
+//	rel: tuple T1 violates row R on attr
+//	rel: tuples T1,T2 violate row R on attr
+func (v Violation) AppendTo(dst []byte) []byte {
+	dst = append(dst, v.CFD.Schema().Name()...)
 	if v.Kind == SingleTuple {
-		return fmt.Sprintf("%s: tuple %d violates row %d on %s", v.CFD.Schema().Name(), v.T1, v.Row, attr)
+		dst = append(dst, ": tuple "...)
+		dst = strconv.AppendInt(dst, int64(v.T1), 10)
+		dst = append(dst, " violates row "...)
+	} else {
+		dst = append(dst, ": tuples "...)
+		dst = strconv.AppendInt(dst, int64(v.T1), 10)
+		dst = append(dst, ',')
+		dst = strconv.AppendInt(dst, int64(v.T2), 10)
+		dst = append(dst, " violate row "...)
 	}
-	return fmt.Sprintf("%s: tuples %d,%d violate row %d on %s", v.CFD.Schema().Name(), v.T1, v.T2, v.Row, attr)
+	dst = strconv.AppendInt(dst, int64(v.Row), 10)
+	dst = append(dst, " on "...)
+	return append(dst, v.CFD.Schema().Attr(v.Attr).Name...)
 }
 
 // Satisfies reports whether the instance satisfies the CFD (D ⊨ ϕ).

@@ -51,6 +51,7 @@ type CIND struct {
 	x, y     []int // embedded IND correspondence, len(x) == len(y)
 	xp, yp   []int // pattern attribute positions
 	tableau  []PatternRow
+	text     string // String(), rendered once by New
 }
 
 // New builds a CIND. X and Y must have equal positive length with
@@ -109,6 +110,7 @@ func New(src, dst *relation.Schema, x, y, xp, yp []string, rows ...PatternRow) (
 		}
 		c.tableau = []PatternRow{{}} // traditional IND: single empty row
 	}
+	c.text = c.render()
 	return c, nil
 }
 
@@ -160,8 +162,12 @@ func (c *CIND) Tableau() []PatternRow { return c.tableau }
 // IsIND reports whether the CIND is a traditional IND.
 func (c *CIND) IsIND() bool { return len(c.xp) == 0 && len(c.yp) == 0 }
 
-// String renders the CIND in the paper's notation.
-func (c *CIND) String() string {
+// String renders the CIND in the paper's notation. A CIND is immutable
+// once built, so New renders it once: violation reports repeat it for
+// every violating tuple.
+func (c *CIND) String() string { return c.text }
+
+func (c *CIND) render() string {
 	names := func(s *relation.Schema, pos []int) string {
 		parts := make([]string, len(pos))
 		for i, p := range pos {
@@ -187,9 +193,22 @@ type Violation struct {
 }
 
 // String renders the violation.
-func (v Violation) String() string {
-	return fmt.Sprintf("%s: tuple %d of %s has no match in %s (row %d)",
-		v.CIND, v.TID, v.CIND.src.Name(), v.CIND.dst.Name(), v.Row)
+func (v Violation) String() string { return string(v.AppendTo(nil)) }
+
+// AppendTo appends String's rendering to dst:
+//
+//	<the CIND>: tuple TID of src has no match in dst (row R)
+func (v Violation) AppendTo(dst []byte) []byte {
+	dst = append(dst, v.CIND.text...)
+	dst = append(dst, ": tuple "...)
+	dst = strconv.AppendInt(dst, int64(v.TID), 10)
+	dst = append(dst, " of "...)
+	dst = append(dst, v.CIND.src.Name()...)
+	dst = append(dst, " has no match in "...)
+	dst = append(dst, v.CIND.dst.Name()...)
+	dst = append(dst, " (row "...)
+	dst = strconv.AppendInt(dst, int64(v.Row), 10)
+	return append(dst, ')')
 }
 
 // TargetKeyPos returns the target index positions Y ∪ Yp, in the order

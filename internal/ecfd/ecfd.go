@@ -26,6 +26,7 @@ package ecfd
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/cfd"
@@ -281,12 +282,27 @@ type Violation struct {
 }
 
 // String renders the violation.
-func (v Violation) String() string {
-	attr := v.ECFD.schema.Attr(v.Attr).Name
+func (v Violation) String() string { return string(v.AppendTo(nil)) }
+
+// AppendTo appends String's rendering to dst (the cfd.Violation format:
+// "tuple T1 violates" for a single tuple, "tuples T1,T2 violate" for a
+// pair).
+func (v Violation) AppendTo(dst []byte) []byte {
+	dst = append(dst, v.ECFD.schema.Name()...)
 	if v.T1 == v.T2 {
-		return fmt.Sprintf("%s: tuple %d violates row %d on %s", v.ECFD.schema.Name(), v.T1, v.Row, attr)
+		dst = append(dst, ": tuple "...)
+		dst = strconv.AppendInt(dst, int64(v.T1), 10)
+		dst = append(dst, " violates row "...)
+	} else {
+		dst = append(dst, ": tuples "...)
+		dst = strconv.AppendInt(dst, int64(v.T1), 10)
+		dst = append(dst, ',')
+		dst = strconv.AppendInt(dst, int64(v.T2), 10)
+		dst = append(dst, " violate row "...)
 	}
-	return fmt.Sprintf("%s: tuples %d,%d violate row %d on %s", v.ECFD.schema.Name(), v.T1, v.T2, v.Row, attr)
+	dst = strconv.AppendInt(dst, int64(v.Row), 10)
+	dst = append(dst, " on "...)
+	return append(dst, v.ECFD.schema.Attr(v.Attr).Name...)
 }
 
 // Detect returns the violations of e in the instance, sorted by

@@ -84,7 +84,7 @@ func checkRecovery(t *testing.T, dir string, cs []detect.Constraint, base *relat
 	if st.Seq < d.lastAcked {
 		t.Fatalf("recovered Seq %d < last acked %d: acknowledged commit lost", st.Seq, d.lastAcked)
 	}
-	got := ViolationsText(st.Violations)
+	got := ViolationsText(st.Violations())
 	if st.Seq == d.lastAcked {
 		if want := detectText(shadow, cs); got != want {
 			t.Fatalf("recovered state diverges from acked history:\n got: %q\nwant: %q", got, want)
@@ -368,7 +368,7 @@ func TestShardWriterPanicIsolation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: gather: %v", when, err)
 		}
-		if got, want := ViolationsText(st.Violations), detectText(merged, cs); got != want {
+		if got, want := ViolationsText(st.Violations()), detectText(merged, cs); got != want {
 			t.Fatalf("%s: published violations inconsistent with published snapshots:\n got: %q\nwant: %q",
 				when, got, want)
 		}
@@ -574,7 +574,7 @@ func TestChaosSharded(t *testing.T) {
 			if err != nil {
 				t.Fatalf("commit %d: gather: %v", i, err)
 			}
-			if got, want := ViolationsText(st.Violations), detectText(merged, cs); got != want {
+			if got, want := ViolationsText(st.Violations()), detectText(merged, cs); got != want {
 				t.Fatalf("commit %d: published state inconsistent with its own snapshots:\n got: %q\nwant: %q",
 					i, got, want)
 			}
@@ -664,7 +664,7 @@ func BenchmarkDegradedReads(b *testing.B) {
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
 				st := svc.State()
-				if len(st.Violations) == 0 {
+				if st.NumViolations() == 0 {
 					b.Fatal("published snapshot has no violations to read")
 				}
 			}

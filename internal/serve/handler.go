@@ -1,11 +1,11 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -195,40 +195,6 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// violationJSON is one violation on the wire.
-type violationJSON struct {
-	Class string        `json:"class"`
-	Rule  string        `json:"rule"`
-	Rel   string        `json:"rel"`
-	Row   int           `json:"row"`
-	T1    relation.TID  `json:"t1"`
-	T2    *relation.TID `json:"t2,omitempty"`
-	Attr  string        `json:"attr,omitempty"`
-	Text  string        `json:"text"`
-}
-
-func violationWire(v detect.Violation) violationJSON {
-	out := violationJSON{
-		Class: detect.ClassOf(v).String(),
-		Rule:  ruleText(detect.DepOf(v)),
-		Rel:   detect.RelationOf(v),
-		Text:  v.String(),
-	}
-	switch v := v.(type) {
-	case cfd.Violation:
-		out.Row, out.T1, out.Attr = v.Row, v.T1, v.CFD.Schema().Attr(v.Attr).Name
-		t2 := v.T2
-		out.T2 = &t2
-	case cind.Violation:
-		out.Row, out.T1 = v.Row, v.TID
-	case ecfd.Violation:
-		out.Row, out.T1, out.Attr = v.Row, v.T1, v.ECFD.Schema().Attr(v.Attr).Name
-		t2 := v.T2
-		out.T2 = &t2
-	}
-	return out
-}
-
 // primaryTID extracts the violation's primary-relation tuple — the TID
 // shard placement is accounted by.
 func primaryTID(v detect.Violation) relation.TID {
@@ -243,40 +209,62 @@ func primaryTID(v detect.Violation) relation.TID {
 	return 0
 }
 
-func violationsWire(vs []detect.Violation) []violationJSON {
-	out := make([]violationJSON, len(vs))
-	for i, v := range vs {
-		out[i] = violationWire(v)
-	}
-	return out
-}
-
 // ViolationsText renders a violation list as the canonical plain-text
 // report: one String() per line. GET /violations?format=text returns
 // exactly these bytes, which is what the oracle tests compare against
 // a fresh Engine.DetectBatch.
-func ViolationsText(vs []detect.Violation) string {
-	var b strings.Builder
-	for _, v := range vs {
-		b.WriteString(v.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
+func ViolationsText(vs []detect.Violation) string { return string(appendText(nil, vs)) }
 
+// handleViolations streams the published list leaf by leaf: each
+// leaf's encoding is memoised on the immutable State's leaves, so a
+// read encodes only the leaves no earlier read of this or an older
+// State has, and writes the rest as stored bytes. The JSON body is
+// byte-identical to encoding/json of
+//
+//	{"seq":N,"total":T,"violations":[…]}
+//
+// with HTML escaping off, as writeJSON renders every other response.
 func (h *Handler) handleViolations(w http.ResponseWriter, r *http.Request) {
 	st := h.Svc.State()
+	leaves := st.viols.leaves
+	chunks := make([][]byte, 0, 2*len(leaves)+2)
 	if r.URL.Query().Get("format") == "text" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		io.WriteString(w, ViolationsText(st.Violations))
-		return
+		for _, l := range leaves {
+			chunks = append(chunks, l.textBytes())
+		}
+	} else {
+		w.Header().Set("Content-Type", "application/json")
+		head := fmt.Appendf(nil, `{"seq":%d,"total":%d,"violations":[`, st.Seq, st.NumViolations())
+		chunks = append(chunks, head)
+		for i, l := range leaves {
+			if i > 0 {
+				chunks = append(chunks, comma)
+			}
+			chunks = append(chunks, l.jsonBytes(h.Svc.rules))
+		}
+		chunks = append(chunks, listTail)
 	}
-	writeJSON(w, http.StatusOK, struct {
-		Seq        uint64          `json:"seq"`
-		Total      int             `json:"total"`
-		Violations []violationJSON `json:"violations"`
-	}{st.Seq, len(st.Violations), violationsWire(st.Violations)})
+	size := 0
+	for _, c := range chunks {
+		size += len(c)
+	}
+	w.Header().Set("Content-Length", strconv.Itoa(size))
+	w.WriteHeader(http.StatusOK)
+	// Coalesce the per-leaf chunks (~10 KiB each) into fewer, larger
+	// socket writes. A failed write means the client is gone: nothing
+	// to undo, and the remaining writes fail fast.
+	bw := bufio.NewWriterSize(w, 64<<10)
+	for _, c := range chunks {
+		bw.Write(c)
+	}
+	bw.Flush()
 }
+
+var (
+	comma    = []byte(",")
+	listTail = []byte("]}\n")
+)
 
 // shardStatsJSON is one shard's slice of /stats: its tuple count
 // (summed over relations), its violation count (violations whose
@@ -359,7 +347,7 @@ func (h *Handler) handleStats(w http.ResponseWriter, r *http.Request) {
 		UptimeSeconds: h.Svc.Uptime().Seconds(),
 		Relations:     relations,
 		Constraints:   len(h.Svc.Constraints()),
-		Violations:    len(st.Violations),
+		Violations:    st.NumViolations(),
 		Ops:           st.Ops,
 		Gained:        st.Gained,
 		Cleared:       st.Cleared,
@@ -375,11 +363,16 @@ func (h *Handler) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// deltaJSON is one commit's diff on the SSE wire.
-type deltaJSON struct {
-	Seq     uint64          `json:"seq"`
-	Gained  []violationJSON `json:"gained"`
-	Cleared []violationJSON `json:"cleared"`
+// deltaJSON renders one commit's diff as its SSE payload,
+// {"seq":N,"gained":[…],"cleared":[…]}, with the violation encoder of
+// GET /violations.
+func (h *Handler) deltaJSON(d Delta) []byte {
+	b := strconv.AppendUint(append([]byte(nil), `{"seq":`...), d.Seq, 10)
+	b = append(b, `,"gained":[`...)
+	b = h.Svc.rules.appendJSONList(b, d.Gained)
+	b = append(b, `],"cleared":[`...)
+	b = h.Svc.rules.appendJSONList(b, d.Cleared)
+	return append(b, "]}"...)
 }
 
 // handleStream serves the delta subscription as Server-Sent Events:
@@ -411,14 +404,7 @@ func (h *Handler) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 
-	writeEvent := func(event string, payload any) bool {
-		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
-		enc.SetEscapeHTML(false)
-		if err := enc.Encode(payload); err != nil {
-			return false
-		}
-		data := bytes.TrimSuffix(buf.Bytes(), []byte("\n"))
+	writeRaw := func(event string, data []byte) bool {
 		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data); err != nil {
 			return false
 		}
@@ -427,6 +413,15 @@ func (h *Handler) handleStream(w http.ResponseWriter, r *http.Request) {
 			h.OnEvent(event)
 		}
 		return true
+	}
+	writeEvent := func(event string, payload any) bool {
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		enc.SetEscapeHTML(false)
+		if err := enc.Encode(payload); err != nil {
+			return false
+		}
+		return writeRaw(event, bytes.TrimSuffix(buf.Bytes(), []byte("\n")))
 	}
 
 	if !writeEvent("hello", map[string]uint64{"seq": sub.Seq()}) {
@@ -444,11 +439,7 @@ func (h *Handler) handleStream(w http.ResponseWriter, r *http.Request) {
 				}
 				return
 			}
-			if !writeEvent("delta", deltaJSON{
-				Seq:     delta.Seq,
-				Gained:  violationsWire(delta.Gained),
-				Cleared: violationsWire(delta.Cleared),
-			}) {
+			if !writeRaw("delta", h.deltaJSON(delta)) {
 				return
 			}
 			// Change-point alerts ride the same commit's Delta; emit them

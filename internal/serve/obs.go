@@ -119,24 +119,14 @@ func (s *Service) setupObs(cfg *ObsConfig, queueCap int, seed *State) {
 	s.met = newServeMetrics(reg)
 	s.started = time.Now()
 
-	// Constraint → trend key, in Σ order (the same class+rule label
-	// /stats reports per constraint). Duplicate deps collapse, matching
+	// One trend per rule, keyed by the class+rule label /stats reports
+	// per constraint, in Σ order. Duplicate deps collapse, matching
 	// countsFor.
-	s.depKey = make(map[any]string, len(s.cs))
 	s.tracker = obs.NewTracker(cfg.Trends)
-	for _, c := range s.cs {
-		if _, ok := s.depKey[c.Dep()]; ok {
-			continue
-		}
-		key := c.Class().String() + " " + ruleText(c.Dep())
-		s.depKey[c.Dep()] = key
-		s.tracker.Track(key)
-	}
-	s.trendCounts = make(map[string]int, len(s.depKey))
-	for _, v := range seed.Violations {
-		if key, ok := s.depKey[detect.DepOf(v)]; ok {
-			s.trendCounts[key]++
-		}
+	s.trendCounts = make(map[string]int, len(s.rules.infos))
+	for i, r := range s.rules.infos {
+		s.tracker.Track(r.key)
+		s.trendCounts[r.key] += seed.ruleCounts[i]
 	}
 
 	reg.GaugeFunc("dq_uptime_seconds", "Seconds since the service started.", nil,
@@ -144,7 +134,7 @@ func (s *Service) setupObs(cfg *ObsConfig, queueCap int, seed *State) {
 	reg.GaugeFunc("dq_seq", "Latest published commit sequence.", nil,
 		func() float64 { return float64(s.state.Load().Seq) })
 	reg.GaugeFunc("dq_violations", "Published outstanding violations.", nil,
-		func() float64 { return float64(len(s.state.Load().Violations)) })
+		func() float64 { return float64(s.state.Load().NumViolations()) })
 	reg.GaugeFunc("dq_ingest_queue_depth", "Submit requests waiting in the ingest queue.", nil,
 		func() float64 { return float64(len(s.queue)) })
 	reg.GaugeFunc("dq_ingest_queue_cap", "Ingest queue capacity.", nil,
@@ -190,9 +180,9 @@ func (s *Service) observeTrends(seq uint64, gained, cleared []detect.Violation) 
 	if s.tracker == nil {
 		return nil
 	}
-	stats := make(map[string]obs.Stat, len(s.depKey))
+	stats := make(map[string]obs.Stat, len(s.rules.infos))
 	for _, v := range gained {
-		key, ok := s.depKey[detect.DepOf(v)]
+		key, ok := s.rules.keyOf(v)
 		if !ok {
 			continue
 		}
@@ -201,7 +191,7 @@ func (s *Service) observeTrends(seq uint64, gained, cleared []detect.Violation) 
 		stats[key] = st
 	}
 	for _, v := range cleared {
-		key, ok := s.depKey[detect.DepOf(v)]
+		key, ok := s.rules.keyOf(v)
 		if !ok {
 			continue
 		}

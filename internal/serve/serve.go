@@ -14,13 +14,15 @@
 // database. After every commit the loop publishes a fresh *State
 // through an atomic pointer: the post-commit DBSnapshot (immutable by
 // construction: COW tuple arrays, append-only dictionaries) plus the
-// full violation list in canonical order (rebuilt by merging the
-// commit's sorted gained/cleared diff into the previous list — O(|V|)
-// copying, no re-sort, never mutated after publication). Readers load
-// the pointer and work on a consistent frozen view while the writer
-// races ahead; subscribers get the same deltas the merge consumed, or
-// — if they fall behind their channel buffer — a closed channel with
-// Lost() set, the signal to resync from Violations().
+// full violation set in canonical order as a sequence of small sorted
+// leaves (violseq.go): a commit copies only the leaves its sorted
+// gained/cleared diff touches, and each leaf memoises its wire
+// encodings on first read, so both publish and GET /violations cost
+// what changed, not |V|. Readers load the pointer and work on a
+// consistent frozen view while the writer races ahead; subscribers get
+// the same deltas the commit applied, or — if they fall behind their
+// channel buffer — a closed channel with Lost() set, the signal to
+// resync from Violations().
 package serve
 
 import (
@@ -117,8 +119,8 @@ type Config struct {
 
 // State is one published, immutable view of the service: everything a
 // read endpoint needs, consistent as of commit Seq. Readers must treat
-// the Violations slice and the Snapshot as read-only; the writer never
-// mutates a published State.
+// the Snapshot as read-only; the writer never mutates a published
+// State.
 type State struct {
 	// Seq counts commits: 0 is the seeded initial detection, each
 	// applied commit batch increments it.
@@ -134,9 +136,12 @@ type State struct {
 	// shard holding each violation's primary tuple at Seq); nil in
 	// single-partition mode.
 	ShardViolations []int
-	// Violations is the full violation set in canonical mixed order —
+	// viols is the full violation set in canonical mixed order —
 	// byte-identical to Engine.DetectBatch of the database at Seq.
-	Violations []detect.Violation
+	viols violSeq
+	// ruleCounts counts viols per monitored rule, indexed like the
+	// service's ruleSet.
+	ruleCounts []int
 	// NextTIDs snapshots each relation's next TID as of Seq — what a
 	// checkpoint must preserve so post-recovery inserts allocate the
 	// same TIDs the uninterrupted run would have. Durable services
@@ -152,6 +157,14 @@ type State struct {
 	// FullSyncs counts the monitor's changelog-fallback resyncs.
 	FullSyncs int
 }
+
+// Violations materialises the violation set in canonical mixed order —
+// byte-identical to Engine.DetectBatch of the database at Seq; nil when
+// there is none. O(|V|): the read endpoints stream the leaves instead.
+func (st *State) Violations() []detect.Violation { return st.viols.all() }
+
+// NumViolations returns the size of the violation set.
+func (st *State) NumViolations() int { return st.viols.n }
 
 // Result acknowledges one Submit: the commit that carried the
 // request's ops (possibly coalesced with other requests), its diff
@@ -206,6 +219,7 @@ type Service struct {
 	monitor *detect.DBMonitor // single-partition mode; nil when sharded
 	cs      []detect.Constraint
 	sigma   map[any]int
+	rules   *ruleSet // report texts and wire heads per rule, fixed at New
 	schemas map[string]*relation.Schema
 	maxOps  int
 	subBuf  int
@@ -256,11 +270,10 @@ type Service struct {
 	walClose     sync.Once
 
 	// Observability (Config.Obs != nil). met/tracker are nil when off;
-	// trendCounts and depKey are sequencer-only.
+	// trendCounts is sequencer-only.
 	met         *serveMetrics
 	tracker     *obs.Tracker
 	trendCounts map[string]int
-	depKey      map[any]string
 	started     time.Time
 	logger      *slog.Logger
 
@@ -315,6 +328,7 @@ func New(cfg Config) (*Service, error) {
 	s := &Service{
 		cs:            cfg.Constraints,
 		sigma:         detect.SigmaOf(cfg.Constraints),
+		rules:         newRuleSet(cfg.Constraints),
 		schemas:       schemas,
 		maxOps:        maxOps,
 		subBuf:        subBuf,
@@ -400,16 +414,20 @@ func New(cfg Config) (*Service, error) {
 			return fail(err)
 		}
 	}
+	var vs []detect.Violation
 	if s.smonitor != nil {
 		seed.Shards = s.smonitor.ShardSnapshots()
-		seed.Violations = s.smonitor.Violations()
+		vs = s.smonitor.Violations()
 		seed.ShardViolations = append([]int(nil), s.shardViol...)
 		seed.FullSyncs = s.smonitor.FullSyncs()
 	} else {
 		seed.Snapshot = s.monitor.Snapshot()
-		seed.Violations = s.monitor.Violations()
+		vs = s.monitor.Violations()
 		seed.FullSyncs = s.monitor.FullSyncs()
 	}
+	seed.viols = newViolSeq(vs)
+	seed.ruleCounts = make([]int, len(s.rules.infos))
+	s.rules.tally(seed.ruleCounts, vs, 1)
 	if s.wal != nil {
 		seed.NextTIDs = s.captureNextTIDs()
 	}
@@ -682,11 +700,18 @@ func (s *Service) commit(reqs []request, n int) {
 func (s *Service) enqueueCommit(reqs []request, ops []detect.DBOp, gained, cleared []detect.Violation, err error) {
 	old := s.tip
 	mt := s.met.now()
-	merged := mergeDiff(old.Violations, gained, cleared, s.sigma)
+	viols := old.viols.apply(gained, cleared, s.sigma)
+	counts := old.ruleCounts
+	if len(gained) > 0 || len(cleared) > 0 {
+		counts = append([]int(nil), counts...)
+		s.rules.tally(counts, gained, 1)
+		s.rules.tally(counts, cleared, -1)
+	}
 	s.met.observeStage(stageMerge, mt)
 	st := &State{
 		Seq:        old.Seq + 1,
-		Violations: merged,
+		viols:      viols,
+		ruleCounts: counts,
 		Ops:        old.Ops + uint64(len(ops)),
 		Gained:     old.Gained + uint64(len(gained)),
 		Cleared:    old.Cleared + uint64(len(cleared)),
@@ -939,35 +964,6 @@ func (s *Service) applyRouted(r *relation.Routing, err error) (gained, cleared [
 	return gained, cleared, err
 }
 
-// mergeDiff derives the successor violation list from the predecessor
-// and a commit's sorted gained/cleared diff: one linear merge, no
-// re-sort, the predecessor list untouched.
-func mergeDiff(cur, gained, cleared []detect.Violation, sigma map[any]int) []detect.Violation {
-	if len(gained) == 0 && len(cleared) == 0 {
-		return cur
-	}
-	dead := make(map[detect.Violation]struct{}, len(cleared))
-	for _, v := range cleared {
-		dead[v] = struct{}{}
-	}
-	out := make([]detect.Violation, 0, len(cur)+len(gained)-len(cleared))
-	gi := 0
-	for _, v := range cur {
-		for gi < len(gained) && detect.CompareViolations(gained[gi], v, sigma) < 0 {
-			out = append(out, gained[gi])
-			gi++
-		}
-		if _, gone := dead[v]; !gone {
-			out = append(out, v)
-		}
-	}
-	out = append(out, gained[gi:]...)
-	if len(out) == 0 {
-		return nil // matches DetectBatch's nil on a clean database
-	}
-	return out
-}
-
 // Submit enqueues one mutation batch and waits for the commit that
 // applies it. The queue is bounded; when it is full Submit blocks
 // (backpressure) until space frees, the context expires, or the
@@ -1049,10 +1045,10 @@ func (s *Service) Stop(ctx context.Context) error {
 // State returns the latest published view. Treat it as read-only.
 func (s *Service) State() *State { return s.state.Load() }
 
-// Violations returns the published violation list in canonical mixed
-// order — byte-identical to Engine.DetectBatch of the database as of
-// State().Seq. The slice is shared and must not be mutated.
-func (s *Service) Violations() []detect.Violation { return s.state.Load().Violations }
+// Violations materialises the published violation list in canonical
+// mixed order — byte-identical to Engine.DetectBatch of the database as
+// of State().Seq. O(|V|) per call; see State.Violations.
+func (s *Service) Violations() []detect.Violation { return s.state.Load().Violations() }
 
 // Check evaluates a caller-supplied constraint batch against the
 // published snapshot (not the live database): a consistent
@@ -1142,8 +1138,9 @@ type ConstraintCount struct {
 }
 
 // Counts aggregates the published violation list per class, relation
-// and constraint — computed from the immutable State, so concurrent
-// with (and unaffected by) the writer.
+// and constraint — from the per-rule counts each commit carries in its
+// immutable State, so O(|Σ|) and concurrent with (and unaffected by)
+// the writer.
 func (s *Service) Counts() Counts { return s.countsFor(s.state.Load()) }
 
 // countsFor is Counts over a caller-held State — what a handler that
@@ -1152,27 +1149,17 @@ func (s *Service) Counts() Counts { return s.countsFor(s.state.Load()) }
 func (s *Service) countsFor(st *State) Counts {
 	out := Counts{
 		Seq:        st.Seq,
-		Total:      len(st.Violations),
+		Total:      st.NumViolations(),
 		ByClass:    make(map[string]int),
 		ByRelation: make(map[string]int),
 	}
-	perDep := make(map[any]int, len(s.cs))
-	for _, v := range st.Violations {
-		out.ByClass[detect.ClassOf(v).String()]++
-		out.ByRelation[detect.RelationOf(v)]++
-		perDep[detect.DepOf(v)]++
-	}
-	seen := make(map[any]bool, len(s.cs))
-	for _, c := range s.cs {
-		if seen[c.Dep()] {
-			continue
+	for i, r := range s.rules.infos {
+		n := st.ruleCounts[i]
+		if n > 0 {
+			out.ByClass[r.class] += n
+			out.ByRelation[r.rel] += n
 		}
-		seen[c.Dep()] = true
-		out.ByConstraint = append(out.ByConstraint, ConstraintCount{
-			Class: c.Class().String(),
-			Rule:  ruleText(c.Dep()),
-			Count: perDep[c.Dep()],
-		})
+		out.ByConstraint = append(out.ByConstraint, ConstraintCount{Class: r.class, Rule: r.text, Count: n})
 	}
 	return out
 }
@@ -1258,7 +1245,3 @@ func (s *Service) closeSubs() {
 		close(sub.ch)
 	}
 }
-
-// ruleText renders a wrapped dependency for reports (the same %v the
-// command-line reports print).
-func ruleText(dep any) string { return fmt.Sprint(dep) }

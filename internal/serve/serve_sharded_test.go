@@ -118,8 +118,8 @@ func TestServiceShardedOracle(t *testing.T) {
 				for _, n := range st.ShardViolations {
 					sum += n
 				}
-				if sum != len(st.Violations) {
-					t.Fatalf("round %d: per-shard violation counts sum to %d, total is %d", round, sum, len(st.Violations))
+				if sum != st.NumViolations() {
+					t.Fatalf("round %d: per-shard violation counts sum to %d, total is %d", round, sum, st.NumViolations())
 				}
 				// The cross-partition read path: /check's gather must agree
 				// with the shadow on the monitored rules.

@@ -183,6 +183,36 @@ func applyShadow(db *relation.Database, ops []detect.DBOp) error {
 	return nil
 }
 
+// commutingBatches draws n random batches that may be submitted
+// concurrently, in any order: batch b updates and deletes only the
+// tuples of its own stripe of db's TIDs (every n-th live TID of each
+// relation, offset b), and nothing ever references the tuples a batch
+// inserts. So every interleaving validates, and the final database
+// differs between interleavings only in which TIDs the inserts got.
+// db is only read.
+func commutingBatches(r *rand.Rand, db *relation.Database, fresh *int, n, maxOps int) [][]detect.DBOp {
+	batches := make([][]detect.DBOp, n)
+	for b := range batches {
+		// randomServeOp picks only TIDs not marked dead: mark every TID
+		// outside the stripe.
+		dead := make(map[string]map[relation.TID]bool)
+		for _, rel := range db.Names() {
+			dead[rel] = make(map[relation.TID]bool)
+			for i, id := range db.MustInstance(rel).IDs() {
+				if i%n != b {
+					dead[rel][id] = true
+				}
+			}
+		}
+		batch := make([]detect.DBOp, 1+r.Intn(maxOps))
+		for j := range batch {
+			batch[j] = randomServeOp(r, db, fresh, dead)
+		}
+		batches[b] = batch
+	}
+	return batches
+}
+
 func mustNew(t *testing.T, cfg Config) *Service {
 	t.Helper()
 	svc, err := New(cfg)
@@ -236,9 +266,9 @@ func TestServiceOracle(t *testing.T) {
 				if gotText, wantText := ViolationsText(got), ViolationsText(want); gotText != wantText {
 					t.Fatalf("seed %d round %d: text rendering diverged:\n%s\nvs\n%s", seed, round, gotText, wantText)
 				}
-				if st := svc.State(); st.Seq != res.Seq || len(st.Violations) != len(got) {
+				if st := svc.State(); st.Seq != res.Seq || st.NumViolations() != len(got) {
 					t.Fatalf("seed %d round %d: published state (seq %d, %d violations) behind ack (seq %d, %d)",
-						seed, round, st.Seq, len(st.Violations), res.Seq, len(got))
+						seed, round, st.Seq, st.NumViolations(), res.Seq, len(got))
 				}
 			}
 		})
@@ -261,8 +291,8 @@ func TestSubscribeExactness(t *testing.T) {
 		t.Fatalf("subscription seq %d, published %d", sub.Seq(), start.Seq)
 	}
 
-	held := make(map[detect.Violation]struct{}, len(start.Violations))
-	for _, v := range start.Violations {
+	held := make(map[detect.Violation]struct{}, start.NumViolations())
+	for _, v := range start.Violations() {
 		held[v] = struct{}{}
 	}
 
@@ -415,12 +445,12 @@ func TestConcurrentReadersRace(t *testing.T) {
 				}
 				st := svc.State()
 				n := 0
-				for _, v := range st.Violations {
+				for _, v := range st.Violations() {
 					_ = v.String()
 					n++
 				}
-				if c := svc.Counts(); c.Total != len(st.Violations) && c.Seq == st.Seq {
-					t.Errorf("counts total %d != %d at seq %d", c.Total, len(st.Violations), st.Seq)
+				if c := svc.Counts(); c.Total != st.NumViolations() && c.Seq == st.Seq {
+					t.Errorf("counts total %d != %d at seq %d", c.Total, st.NumViolations(), st.Seq)
 					return
 				}
 				svc.Check(probe)
@@ -457,7 +487,6 @@ func TestConcurrentReadersRace(t *testing.T) {
 func TestStopDrainsQueue(t *testing.T) {
 	cs := serveSigma()
 	db := ordersDB(19, 200)
-	shadow := db.Clone()
 	// QueueCap large enough to hold every async batch below.
 	svc, err := New(Config{DB: db, Constraints: cs, QueueCap: 64})
 	if err != nil {
@@ -466,18 +495,7 @@ func TestStopDrainsQueue(t *testing.T) {
 
 	r := rand.New(rand.NewSource(53))
 	fresh := 0
-	var batches [][]detect.DBOp
-	for i := 0; i < 20; i++ {
-		batch := make([]detect.DBOp, 1+r.Intn(4))
-		dead := make(map[string]map[relation.TID]bool)
-		for j := range batch {
-			batch[j] = randomServeOp(r, shadow, &fresh, dead)
-		}
-		batches = append(batches, batch)
-		if err := applyShadow(shadow, batch); err != nil {
-			t.Fatal(err)
-		}
-	}
+	batches := commutingBatches(r, db.Clone(), &fresh, 20, 4)
 
 	// Fire all submits concurrently, then stop while they are in flight.
 	var wg sync.WaitGroup
@@ -505,9 +523,9 @@ func TestStopDrainsQueue(t *testing.T) {
 		}
 	}
 	// Every acked batch was applied; the service's final set must match
-	// a fresh detection over its own database (batch order may differ
-	// from the shadow's, so compare against the service's db directly —
-	// safe now: the writer has exited).
+	// a fresh detection over its own database (the commit order, and so
+	// the inserts' TIDs, is the scheduler's — compare against the
+	// service's db directly; safe now: the writer has exited).
 	want := detect.New(2).DetectBatch(db, cs)
 	if !reflect.DeepEqual(svc.Violations(), want) {
 		t.Fatalf("final violation list diverges from fresh detection (%d batches applied)", applied)
@@ -524,27 +542,17 @@ func TestStopDrainsQueue(t *testing.T) {
 }
 
 // TestCoalescing: concurrent Submits can share one commit; every ack
-// carries that commit's seq and the published state is consistent.
+// carries that commit's seq and the published state is consistent. The
+// batches commute (commutingBatches), so every arrival order the
+// scheduler picks must validate and commit.
 func TestCoalescing(t *testing.T) {
 	cs := serveSigma()
 	db := ordersDB(29, 200)
-	shadow := db.Clone()
 	svc := mustNew(t, Config{DB: db, Constraints: cs, QueueCap: 64})
 
 	r := rand.New(rand.NewSource(71))
 	fresh := 0
-	var batches [][]detect.DBOp
-	for i := 0; i < 30; i++ {
-		batch := make([]detect.DBOp, 1+r.Intn(3))
-		dead := make(map[string]map[relation.TID]bool)
-		for j := range batch {
-			batch[j] = randomServeOp(r, shadow, &fresh, dead)
-		}
-		batches = append(batches, batch)
-		if err := applyShadow(shadow, batch); err != nil {
-			t.Fatal(err)
-		}
-	}
+	batches := commutingBatches(r, db.Clone(), &fresh, 30, 3)
 	var wg sync.WaitGroup
 	for _, batch := range batches {
 		wg.Add(1)

@@ -105,7 +105,7 @@ func BenchmarkServeIngest(b *testing.B) {
 								case <-tick.C:
 								}
 								st := svc.State()
-								for _, v := range st.Violations {
+								for _, v := range st.Violations() {
 									_ = v
 								}
 								if i%16 == 0 {

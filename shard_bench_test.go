@@ -13,13 +13,14 @@ package repro_test
 // the commit ack. The pure-FD row of ϕ2 is deliberately left out: at
 // 1M tuples, random 7-digit phones birthday-collide into tens of
 // thousands of same-(CC, AC, phn) pairs, and the resulting fixed
-// violation mass would make every commit's O(V) publish dominate the
-// measurement. Inserted rows carry (CC, AC) = (99, 555) — no pattern
-// row matches, so they never violate — and the hot-set updates flip
-// city values in and out of the patterns: every batch gains and clears
+// violation mass would dominate the measurement (the per-shard
+// violation attribution is rebuilt in O(V) whenever a commit moves a
+// tuple). Inserted rows carry (CC, AC) = (99, 555) — no pattern row
+// matches, so they never violate — and the hot-set updates flip city
+// values in and out of the patterns: every batch gains and clears
 // violations, but the outstanding set stays small and stationary, so
-// the O(V) publish cost every commit pays (mergeDiff, the State list)
-// is a constant and the measurement isolates per-commit ingest work.
+// the publish cost is a constant and the measurement isolates
+// per-commit ingest work.
 //
 // shards=1 runs the plain single-writer service — the baseline — and
 // shards>1 the hash-partitioned one, keyed on phn (contained in the
