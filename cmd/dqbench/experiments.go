@@ -340,7 +340,7 @@ var experiments = []experiment{
 	},
 	{
 		id:    "E23",
-		title: "Incremental monitoring: Monitor.Apply vs invalidate-and-rebuild",
+		title: "Incremental monitoring: DBMonitor.Apply vs invalidate-and-rebuild",
 		claim: "update batches cost the touched groups, not a full re-freeze; diffs stay exact",
 		run: func(quick bool) (string, bool) {
 			n := 20000
@@ -936,7 +936,8 @@ func mixedDetectProbe(n int) (engine, legacy time.Duration, identical bool) {
 // monitorIncrProbe measures the steady-state monitoring cost: `batches`
 // batches of `batchSize` street updates against an n-tuple dirty
 // customer instance under 8 CFDs, once through a stateful
-// detect.Monitor (incremental snapshot/index maintenance) and once
+// detect.DBMonitor over the one-relation database (incremental
+// snapshot/index maintenance) and once
 // through the invalidate-and-rebuild discipline (fresh snapshot + fresh
 // group indexes + DetectTouched per batch). Exactness compares the
 // monitor's maintained violation set against a fresh full DetectAll
@@ -957,21 +958,23 @@ func monitorIncrProbe(n, batches, batchSize int) (monitor, rebuild time.Duration
 		}
 		return out
 	}
-	mkOps := func(in *relation.Instance, round int) []detect.Op {
+	mkOps := func(in *relation.Instance, round int) []detect.DBOp {
 		street := in.Schema().MustLookup("street")
 		ids := in.IDs()
-		ops := make([]detect.Op, batchSize)
+		ops := make([]detect.DBOp, batchSize)
 		for i := range ops {
 			id := ids[(round*7919+i*104729)%len(ids)]
-			ops[i] = detect.Update(id, street, relation.Str(fmt.Sprintf("St %d-%d", round, i)))
+			ops[i] = detect.UpdateIn(in.Schema().Name(), id, street, relation.Str(fmt.Sprintf("St %d-%d", round, i)))
 		}
 		return ops
 	}
 
-	// Monitor path.
+	// DBMonitor path.
 	inM := gen.Customers(gen.CustomerConfig{N: n, Seed: 17, ErrorRate: 0.05})
 	sigma := mkSigma(inM.Schema())
-	m := detect.NewMonitor(detect.New(1), inM, sigma)
+	db := relation.NewDatabase()
+	db.Add(inM)
+	m := detect.NewDBMonitor(detect.New(1), db, detect.WrapCFDs(sigma))
 	checker := detect.New(1)
 	exact = true
 	for r := 0; r < batches; r++ {
@@ -1007,10 +1010,10 @@ func monitorIncrProbe(n, batches, batchSize int) (monitor, rebuild time.Duration
 		ops := mkOps(inR, r)
 		touched := make([]relation.TID, 0, len(ops))
 		for _, op := range ops {
-			if err := inR.Update(op.TID, op.Pos, op.Val); err != nil {
+			if err := inR.Update(op.Op.TID, op.Op.Pos, op.Op.Val); err != nil {
 				return 0, 0, false
 			}
-			touched = append(touched, op.TID)
+			touched = append(touched, op.Op.TID)
 		}
 		start := time.Now()
 		snap := relation.NewSnapshot(inR) // invalidation: nothing carried over

@@ -112,17 +112,17 @@ func BenchmarkEngineDetectAll(b *testing.B) {
 // zip (an LHS attribute of the [CC, zip] rules — tuples move between
 // groups). Values rotate through bounded pools so dictionaries do not
 // grow without bound across benchmark iterations.
-func incrOps(in *relation.Instance, round, size int) []detect.Op {
+func incrOps(in *relation.Instance, round, size int) []detect.DBOp {
 	s := in.Schema()
 	street, zip := s.MustLookup("street"), s.MustLookup("zip")
 	ids := in.IDs()
-	ops := make([]detect.Op, size)
+	ops := make([]detect.DBOp, size)
 	for i := range ops {
 		id := ids[(round*7919+i*104729)%len(ids)]
 		if i%2 == 0 {
-			ops[i] = detect.Update(id, street, relation.Str(fmt.Sprintf("St %d", (round+i)%997)))
+			ops[i] = detect.UpdateIn(s.Name(), id, street, relation.Str(fmt.Sprintf("St %d", (round+i)%997)))
 		} else {
-			ops[i] = detect.Update(id, zip, relation.Str(fmt.Sprintf("EH%d %dLE", (round+i)%25+1, i%10)))
+			ops[i] = detect.UpdateIn(s.Name(), id, zip, relation.Str(fmt.Sprintf("EH%d %dLE", (round+i)%25+1, i%10)))
 		}
 	}
 	return ops
@@ -130,13 +130,13 @@ func incrOps(in *relation.Instance, round, size int) []detect.Op {
 
 // applyOps applies a batch directly to the instance (the non-monitor
 // modes) and returns the touched TIDs.
-func applyOps(b *testing.B, in *relation.Instance, ops []detect.Op) []relation.TID {
+func applyOps(b *testing.B, in *relation.Instance, ops []detect.DBOp) []relation.TID {
 	touched := make([]relation.TID, len(ops))
 	for i, op := range ops {
-		if err := in.Update(op.TID, op.Pos, op.Val); err != nil {
+		if err := in.Update(op.Op.TID, op.Op.Pos, op.Op.Val); err != nil {
 			b.Fatal(err)
 		}
-		touched[i] = op.TID
+		touched[i] = op.Op.TID
 	}
 	return touched
 }
@@ -144,9 +144,10 @@ func applyOps(b *testing.B, in *relation.Instance, ops []detect.Op) []relation.T
 // BenchmarkMonitorIncr measures the steady-state cost of absorbing one
 // update batch, in three disciplines (DESIGN.md E23):
 //
-//	monitor  stateful detect.Monitor: snapshot and group indexes caught
-//	         up via the changelog (structural sharing + O(|Δ|) intern),
-//	         DetectTouched diffed on the touched groups only
+//	monitor  stateful detect.DBMonitor over the one-relation database:
+//	         snapshot and group indexes caught up via the changelog
+//	         (structural sharing + O(|Δ|) intern), DetectTouched
+//	         diffed on the touched groups only
 //	rebuild  invalidate-and-rebuild (PR 2's behavior after a mutation):
 //	         fresh snapshot freeze + column interning + index builds,
 //	         then DetectTouched on the batch
@@ -167,7 +168,9 @@ func BenchmarkMonitorIncr(b *testing.B) {
 				b.Run(fmt.Sprintf("n=%d/cfds=%d/batch=%d/monitor", n, k, bs), func(b *testing.B) {
 					b.ReportAllocs()
 					in := gen.Customers(gen.CustomerConfig{N: n, Seed: 17, ErrorRate: 0.05})
-					m := detect.NewMonitor(detect.New(1), in, sigma)
+					db := relation.NewDatabase()
+					db.Add(in)
+					m := detect.NewDBMonitor(detect.New(1), db, detect.WrapCFDs(sigma))
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						if _, _, err := m.Apply(incrOps(in, i, bs)); err != nil {

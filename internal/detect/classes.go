@@ -174,7 +174,13 @@ func (w cindConstraint) Satisfied(ctx *Ctx) bool {
 	return cind.SatisfiesWithSnapshot(src, dst, w.c, srcIx, dstIx)
 }
 
-// Touched covers both sides of the inclusion:
+// Touched covers both sides of the inclusion; see cindTouched.
+func (w cindConstraint) Touched(tc *TouchCtx) []relation.TID {
+	dst := w.c.Dst().Name()
+	return cindTouched(w.c, tc, targetYChanges(w.c, tc.Delta(dst), tc.Old(dst), tc.New(dst), nil))
+}
+
+// cindTouched assembles the CIND touched list, flat and per shard:
 //
 //   - source side: inserted and deleted source TIDs, plus source TIDs
 //     updated on X ∪ Xp — any of these can change which pattern rows
@@ -183,16 +189,16 @@ func (w cindConstraint) Satisfied(ctx *Ctx) bool {
 //     Y ∪ Yp projection can flip the verdict of exactly the source
 //     tuples whose X values equal its Y values, on either side of the
 //     batch — those are found by probing the pre-batch source index on
-//     X with the target tuple's old and new Y projections. (Probing the
-//     old index suffices: a source tuple that itself moved is already
-//     in the list via the source side.) Yp-only changes ride the same
-//     probes, since Y is then unchanged.
-func (w cindConstraint) Touched(tc *TouchCtx) []relation.TID {
-	c := w.c
-	srcRel, dstRel := c.Src().Name(), c.Dst().Name()
+//     X with the changed Y projections (yChanges, see targetYChanges;
+//     a sharded monitor broadcasts every shard's changes to every
+//     shard). Probing the old index suffices: a source tuple that
+//     itself moved is already in the list via the source side. Yp-only
+//     changes ride the same probes, since Y is then unchanged.
+func cindTouched(c *cind.CIND, tc *TouchCtx, yChanges [][]relation.Value) []relation.TID {
+	srcRel := c.Src().Name()
 	set := make(map[relation.TID]struct{})
-	srcPos := c.SourceGroupPos()
 	if d := tc.Delta(srcRel); d != nil {
+		srcPos := c.SourceGroupPos()
 		for _, id := range d.Inserted {
 			set[id] = struct{}{}
 		}
@@ -205,43 +211,59 @@ func (w cindConstraint) Touched(tc *TouchCtx) []relation.TID {
 			}
 		}
 	}
-	if d := tc.Delta(dstRel); d != nil && !d.Empty() {
-		oldSrc := tc.Old(srcRel)
-		oldDst, newDst := tc.Old(dstRel), tc.New(dstRel)
-		if oldSrc != nil {
-			srcX := oldSrc.CodeIndexOn(c.X())
-			keyPos := c.TargetKeyPos()
-			vals := make([]relation.Value, len(c.Y()))
-			probe := func(snap *relation.Snapshot, id relation.TID) {
-				if snap == nil {
-					return
-				}
-				r, ok := snap.Row(id)
-				if !ok {
-					return
-				}
-				for i, p := range c.Y() {
-					vals[i] = snap.Value(r, p)
-				}
-				for _, sid := range srcX.LookupValues(vals) {
-					set[sid] = struct{}{}
-				}
-			}
-			for _, id := range d.Inserted {
-				probe(newDst, id)
-			}
-			for _, id := range d.Deleted {
-				probe(oldDst, id)
-			}
-			for id := range d.Updated {
-				if d.Touches(id, keyPos) {
-					probe(oldDst, id)
-					probe(newDst, id)
-				}
+	if oldSrc := tc.Old(srcRel); oldSrc != nil && len(yChanges) > 0 {
+		srcX := oldSrc.CodeIndexOn(c.X())
+		for _, vals := range yChanges {
+			for _, sid := range srcX.LookupValues(vals) {
+				set[sid] = struct{}{}
 			}
 		}
 	}
 	return sortedTIDs(set)
+}
+
+// targetYChanges appends to out the Y projection of every target row
+// the delta changed on the CIND's Y ∪ Yp (see keyChanges).
+func targetYChanges(c *cind.CIND, d *relation.Delta, oldSnap, newSnap *relation.Snapshot, out [][]relation.Value) [][]relation.Value {
+	y := c.Y()
+	keyChanges(d, oldSnap, newSnap, c.TargetKeyPos(), func(snap *relation.Snapshot, r int, _ bool) {
+		vals := make([]relation.Value, len(y))
+		for j, p := range y {
+			vals[j] = snap.Value(r, p)
+		}
+		out = append(out, vals)
+	})
+	return out
+}
+
+// keyChanges walks the rows whose keyPos projection a delta changed:
+// inserted rows on the new side, deleted rows on the old side, and rows
+// updated on keyPos on both; arrived tells the new side from the old.
+// A nil delta or snapshot contributes nothing.
+func keyChanges(d *relation.Delta, oldSnap, newSnap *relation.Snapshot, keyPos []int, visit func(snap *relation.Snapshot, r int, arrived bool)) {
+	if d == nil {
+		return
+	}
+	at := func(snap *relation.Snapshot, id relation.TID, arrived bool) {
+		if snap == nil {
+			return
+		}
+		if r, ok := snap.Row(id); ok {
+			visit(snap, r, arrived)
+		}
+	}
+	for _, id := range d.Inserted {
+		at(newSnap, id, true)
+	}
+	for _, id := range d.Deleted {
+		at(oldSnap, id, false)
+	}
+	for id := range d.Updated {
+		if d.Touches(id, keyPos) {
+			at(oldSnap, id, false)
+			at(newSnap, id, true)
+		}
+	}
 }
 
 // --- shared touched-list machinery ---------------------------------------

@@ -2,16 +2,17 @@ package detect
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/relation"
 )
 
-// DBMonitor is the mixed-class, multi-relation counterpart of Monitor:
-// it owns an engine, the live DBSnapshot of a whole database, and the
-// current violation set of a mixed constraint batch (CFDs, CINDs,
+// DBMonitor is the stateful face of incremental detection over one
+// database: it owns an engine, the live DBSnapshot of the database, and
+// the current violation set of a mixed constraint batch (CFDs, CINDs,
 // eCFDs), and keeps all of them consistent under a stream of update
-// batches that may touch several relations at once:
+// batches that may touch several relations at once. Where
+// Engine.DetectBatch answers "what is wrong now" in full, a
+// DBMonitor answers "what just broke and what just got fixed":
 //
 //	gained, cleared, err := m.Apply(batch)
 //
@@ -22,7 +23,8 @@ import (
 // changed on (Constraint.Touched — for a CIND that covers updates on
 // both the source and the target side of the inclusion), evaluates
 // those TIDs against both the pre- and the post-batch snapshots, and
-// diffs the results against the stored set.
+// diffs the results against the stored set — the one-shard case of the
+// core ShardedDBMonitor shares (see monitorCore).
 //
 // The maintained invariant, asserted by randomized tests: after every
 // Apply, Violations() is exactly Engine.DetectBatch of the mutated
@@ -35,15 +37,9 @@ import (
 // The relation set is fixed at construction: adding or replacing
 // instances afterwards forces a full resync.
 type DBMonitor struct {
-	engine  *Engine
-	db      *relation.Database
-	cs      []Constraint
-	reads   []string // sorted union of the constraints' Reads()
-	sigma   map[any]int
-	dbs     *relation.DBSnapshot
-	current map[Violation]struct{}
-
-	fullSyncs int // times the changelog fallback forced a full re-detection
+	monitorCore
+	db  *relation.Database
+	dbs *relation.DBSnapshot
 }
 
 // DBOp is one mutation of a DBMonitor batch: an Op aimed at a named
@@ -68,37 +64,10 @@ func UpdateIn(rel string, id relation.TID, pos int, v relation.Value) DBOp {
 // batch, paying one full detection to seed the violation set (and,
 // through it, the DBSnapshot and every shared group index the steady
 // state will reuse). A nil engine gets the default configuration; a
-// Legacy engine is silently upgraded to the columnar path, which the
-// monitor requires (its pre-batch detection must run against frozen
-// snapshots, not the already-mutated instances).
+// Legacy engine is silently upgraded to the columnar path.
 func NewDBMonitor(e *Engine, db *relation.Database, cs []Constraint) *DBMonitor {
-	if e == nil {
-		e = New(0)
-	}
-	if e.Legacy {
-		e = &Engine{Workers: e.Workers}
-	}
-	m := &DBMonitor{
-		engine:  e,
-		db:      db,
-		cs:      cs,
-		sigma:   SigmaOf(cs),
-		dbs:     relation.DBSnapshotOf(db),
-		current: make(map[Violation]struct{}),
-	}
-	seen := make(map[string]bool)
-	for _, c := range cs {
-		for _, rel := range c.Reads() {
-			if !seen[rel] {
-				seen[rel] = true
-				m.reads = append(m.reads, rel)
-			}
-		}
-	}
-	sort.Strings(m.reads)
-	for _, v := range e.DetectBatchOn(m.dbs, cs) {
-		m.current[v] = struct{}{}
-	}
+	m := &DBMonitor{monitorCore: newMonitorCore(e, cs), db: db, dbs: relation.DBSnapshotOf(db)}
+	m.seed([][]Violation{m.engine.DetectBatchOn(m.dbs, cs)})
 	return m
 }
 
@@ -157,122 +126,24 @@ func (m *DBMonitor) Apply(batch []DBOp) (gained, cleared []Violation, err error)
 // into the monitor (see Apply).
 func (m *DBMonitor) Sync() (gained, cleared []Violation) {
 	old := m.dbs
-	deltas := make(map[string]*relation.Delta)
-	// Only relations some constraint reads can change the violation set;
-	// mutations elsewhere are ignored (and their changelogs cannot force
-	// a full resync).
-	for _, name := range m.reads {
-		in, ok := m.db.Instance(name)
-		if !ok {
-			continue // never existed: nothing to diff
-		}
-		oldSnap, ok := old.Snapshot(name)
-		if !ok || oldSnap.Source() != in {
-			return m.fullResync() // relation added or replaced since the seed
-		}
-		entries, ok := in.ChangesSince(oldSnap.Version())
-		if !ok {
-			return m.fullResync() // changelog truncated past the snapshot
-		}
-		if len(entries) == 0 {
-			continue
-		}
-		d := relation.NetDelta(entries)
-		deltas[name] = &d
+	deltas, resync := m.scan(m.db, old)
+	if resync {
+		m.dbs = relation.DBSnapshotOf(m.db)
+		return m.resync([][]Violation{m.engine.DetectBatchOn(m.dbs, m.cs)})
 	}
-	if len(deltas) == 0 {
+	if deltas == nil {
 		return nil, nil
 	}
-	dbs := relation.DBSnapshotOf(m.db) // per-relation delta catch-up
-	tc := &TouchCtx{db: m.db, old: old, new: dbs, deltas: deltas}
+	m.dbs = relation.DBSnapshotOf(m.db) // per-relation delta catch-up
+	tc := &TouchCtx{db: m.db, old: old, new: m.dbs, deltas: deltas}
 	touched := make([][]relation.TID, len(m.cs))
 	for i, c := range m.cs {
 		touched[i] = c.Touched(tc)
 	}
-
-	// The stored set equals DetectBatch(old); the touched evaluation on
-	// the old side is its restriction to the touched witnesses, so
-	// replacing that slice with the touched evaluation on the new side
-	// re-establishes the invariant for the new snapshot (violations
-	// outside every touched list carry over — that is Touched's
-	// contract).
-	oldTouched := m.engine.DetectBatchTouchedOn(old, m.cs, touched)
-	newTouched := m.engine.DetectBatchTouchedOn(dbs, m.cs, touched)
-
-	oldSet := make(map[Violation]struct{}, len(oldTouched))
-	for _, v := range oldTouched {
-		oldSet[v] = struct{}{}
-		delete(m.current, v)
-	}
-	for _, v := range newTouched {
-		// Diff against the pre-batch stored set, not oldTouched: a
-		// violation re-reported by the new side that the old side did not
-		// (redundantly) cover is identical to a stored one — not a gain.
-		if _, had := m.current[v]; !had {
-			if _, had := oldSet[v]; !had {
-				gained = append(gained, v)
-			}
-		}
-		m.current[v] = struct{}{}
-	}
-	newSet := make(map[Violation]struct{}, len(newTouched))
-	for _, v := range newTouched {
-		newSet[v] = struct{}{}
-	}
-	for _, v := range oldTouched {
-		if _, still := newSet[v]; !still {
-			cleared = append(cleared, v)
-		}
-	}
-	m.dbs = dbs
-	SortViolations(gained, m.sigma)
-	SortViolations(cleared, m.sigma)
-	return gained, cleared
+	return m.diff(
+		[][]Violation{m.engine.DetectBatchTouchedOn(old, m.cs, touched)},
+		[][]Violation{m.engine.DetectBatchTouchedOn(m.dbs, m.cs, touched)})
 }
-
-// fullResync rebuilds the violation set from scratch — the fallback
-// when some bounded changelog no longer reaches back to the monitor's
-// snapshot — and diffs it against the stored set so Apply's contract
-// (exact gained/cleared) holds on this path too.
-func (m *DBMonitor) fullResync() (gained, cleared []Violation) {
-	m.fullSyncs++
-	m.dbs = relation.DBSnapshotOf(m.db)
-	fresh := m.engine.DetectBatchOn(m.dbs, m.cs)
-	freshSet := make(map[Violation]struct{}, len(fresh))
-	for _, v := range fresh {
-		freshSet[v] = struct{}{}
-		if _, had := m.current[v]; !had {
-			gained = append(gained, v)
-		}
-	}
-	for v := range m.current {
-		if _, still := freshSet[v]; !still {
-			cleared = append(cleared, v)
-		}
-	}
-	m.current = freshSet
-	SortViolations(gained, m.sigma)
-	SortViolations(cleared, m.sigma)
-	return gained, cleared
-}
-
-// Violations returns the current violation set in the canonical mixed
-// order — byte-identical to Engine.DetectBatch of the database in its
-// present state.
-func (m *DBMonitor) Violations() []Violation {
-	if len(m.current) == 0 {
-		return nil // matches DetectBatch's nil on a clean database
-	}
-	out := make([]Violation, 0, len(m.current))
-	for v := range m.current {
-		out = append(out, v)
-	}
-	SortViolations(out, m.sigma)
-	return out
-}
-
-// Len returns the size of the current violation set.
-func (m *DBMonitor) Len() int { return len(m.current) }
 
 // Snapshot returns the maintained database snapshot (current as of the
 // last Apply/Sync).
@@ -280,13 +151,6 @@ func (m *DBMonitor) Snapshot() *relation.DBSnapshot { return m.dbs }
 
 // Database returns the watched database.
 func (m *DBMonitor) Database() *relation.Database { return m.db }
-
-// Engine returns the monitor's engine (always on the columnar path).
-func (m *DBMonitor) Engine() *Engine { return m.engine }
-
-// FullSyncs reports how many times the monitor had to fall back to a
-// full re-detection.
-func (m *DBMonitor) FullSyncs() int { return m.fullSyncs }
 
 // TouchCtx is the view Constraint.Touched reasons over: the pre- and
 // post-batch snapshots of every relation, the net delta each relation's

@@ -124,26 +124,167 @@ func randomDBOp(r *rand.Rand, db *relation.Database, fresh *int, dead map[string
 	}
 }
 
-// dbMonitorOracleRounds drives random multi-relation batches through
-// DBMonitor.Apply and asserts, after every batch, that the maintained
-// mixed violation set is byte-identical to a fresh DetectBatch — and to
-// the per-class legacy detectors — and that gained/cleared exactly
-// account for the change.
-func dbMonitorOracleRounds(t *testing.T, seed int64, orders, rounds, maxBatch, changelogCap int, withECFDs bool) {
+// randomCustomerOp draws one random mutation for the customer
+// relation: inserts of fresh customers, deletes, and updates that churn
+// both LHS attributes (zip, CC, AC — moving tuples between groups) and
+// RHS attributes (street, city), regularly introducing never-seen
+// values so the shared dictionaries keep growing.
+func randomCustomerOp(r *rand.Rand, db *relation.Database, fresh *int, dead map[string]map[relation.TID]bool) DBOp {
+	in := db.MustInstance("customer")
+	if dead["customer"] == nil {
+		dead["customer"] = make(map[relation.TID]bool)
+	}
+	var ids []relation.TID
+	for _, id := range in.IDs() {
+		if !dead["customer"][id] {
+			ids = append(ids, id)
+		}
+	}
+	switch k := r.Intn(10); {
+	case k < 2 || len(ids) == 0: // insert
+		*fresh++
+		zip := fmt.Sprintf("EH%d %dLE", r.Intn(4)+1, r.Intn(4))
+		if r.Intn(4) == 0 {
+			zip = fmt.Sprintf("ZZ%d", *fresh) // brand-new zip: Dict growth
+		}
+		return InsertInto("customer", relation.Tuple{
+			relation.Int(int64([]int{44, 1}[r.Intn(2)])),
+			relation.Int(int64(131 + r.Intn(3))),
+			relation.Int(int64(1000000 + r.Intn(50))),
+			relation.Str(fmt.Sprintf("name-%d", *fresh)),
+			relation.Str(fmt.Sprintf("st%d", r.Intn(4))),
+			relation.Str([]string{"EDI", "MH", "NYC"}[r.Intn(3)]),
+			relation.Str(zip),
+		})
+	case k < 4: // delete
+		id := ids[r.Intn(len(ids))]
+		dead["customer"][id] = true
+		return DeleteFrom("customer", id)
+	default: // update
+		id := ids[r.Intn(len(ids))]
+		pos := []int{0, 1, 4, 5, 6}[r.Intn(5)] // CC, AC, street, city, zip
+		var v relation.Value
+		switch pos {
+		case 0:
+			v = relation.Int(int64([]int{44, 1, 31}[r.Intn(3)]))
+		case 1:
+			v = relation.Int(int64(131 + r.Intn(4)))
+		case 4:
+			if r.Intn(3) == 0 {
+				*fresh++
+				v = relation.Str(fmt.Sprintf("new-street-%d", *fresh))
+			} else {
+				v = relation.Str(fmt.Sprintf("st%d", r.Intn(4)))
+			}
+		case 5:
+			v = relation.Str([]string{"EDI", "MH", "NYC", "LDN"}[r.Intn(4)])
+		default:
+			if r.Intn(3) == 0 {
+				*fresh++
+				v = relation.Str(fmt.Sprintf("ZZ%d", *fresh))
+			} else {
+				v = relation.Str(fmt.Sprintf("EH%d %dLE", r.Intn(4)+1, r.Intn(4)))
+			}
+		}
+		return UpdateIn("customer", id, pos, v)
+	}
+}
+
+// monitorInput is one input of the DBMonitor oracle: a database, its
+// constraint batch, a random-op source over it, and the string-keyed
+// per-class legacy detectors (independent of snapshots, dictionaries
+// and changelogs) the maintained set must also match.
+type monitorInput struct {
+	db     *relation.Database
+	cs     []Constraint
+	op     func(r *rand.Rand, db *relation.Database, fresh *int, dead map[string]map[relation.TID]bool) DBOp
+	legacy func(got []Violation) string // "" when got matches, else the diverging stream
+}
+
+// ordersInput is the order/book/CD database under the mixed batch.
+func ordersInput(seed int64, orders int, withECFDs bool) monitorInput {
+	db := gen.Orders(gen.OrdersConfig{Books: orders / 8, CDs: orders / 10, Orders: orders, Seed: seed, ViolationRate: 0.1})
+	cfds, cinds, ecfds := mixedSigma()
+	if !withECFDs {
+		ecfds = nil
+	}
+	return monitorInput{db: db, cs: wrapMixed(cfds, cinds, ecfds), op: randomDBOp,
+		legacy: func(got []Violation) string {
+			gotCFD, gotCIND, gotECFD := SplitViolations(got)
+			order := db.MustInstance("order")
+			switch {
+			case !reflect.DeepEqual(gotCFD, cfd.DetectAll(order, cfds)):
+				return "CFD"
+			case !reflect.DeepEqual(gotCIND, cind.DetectAll(db, cinds)):
+				return "CIND"
+			case withECFDs && !reflect.DeepEqual(gotECFD, ecfd.DetectAll(order, ecfds)):
+				return "eCFD"
+			}
+			return ""
+		}}
+}
+
+// customerInput is the paper's customer instance under the Figure 2
+// CFDs.
+func customerInput(seed int64, n int) monitorInput {
+	in := gen.Customers(gen.CustomerConfig{N: n, Seed: seed, ErrorRate: 0.15})
+	db := relation.NewDatabase()
+	db.Add(in)
+	sigma := sigmaFigure2(in.Schema())
+	return monitorInput{db: db, cs: WrapCFDs(sigma), op: randomCustomerOp,
+		legacy: func(got []Violation) string {
+			if gotCFD, _, _ := SplitViolations(got); !reflect.DeepEqual(gotCFD, cfd.DetectAll(in, sigma)) {
+				return "CFD"
+			}
+			return ""
+		}}
+}
+
+// checkDiff asserts that gained and cleared exactly transform prev into
+// got: every cleared violation was held, no gained one was, and
+// prev - cleared + gained is got. step names the batch in failures.
+func checkDiff(t *testing.T, step string, prev, gained, cleared, got []Violation) {
+	t.Helper()
+	next := make(map[Violation]struct{}, len(prev))
+	for _, v := range prev {
+		next[v] = struct{}{}
+	}
+	for _, v := range cleared {
+		if _, ok := next[v]; !ok {
+			t.Fatalf("%s: cleared violation %v was not held", step, v)
+		}
+		delete(next, v)
+	}
+	for _, v := range gained {
+		if _, ok := next[v]; ok {
+			t.Fatalf("%s: gained violation %v was already held", step, v)
+		}
+		next[v] = struct{}{}
+	}
+	if len(next) != len(got) {
+		t.Fatalf("%s: prev - cleared + gained has %d violations, set has %d", step, len(next), len(got))
+	}
+	for _, v := range got {
+		if _, ok := next[v]; !ok {
+			t.Fatalf("%s: %v in set but not in prev - cleared + gained", step, v)
+		}
+	}
+}
+
+// dbMonitorOracleRounds drives random batches through DBMonitor.Apply
+// and asserts, after every batch, that the maintained violation set is
+// byte-identical to a fresh DetectBatch — and to the per-class legacy
+// detectors — and that gained/cleared exactly account for the change.
+func dbMonitorOracleRounds(t *testing.T, seed int64, input monitorInput, rounds, maxBatch, changelogCap int) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
-	db := gen.Orders(gen.OrdersConfig{Books: orders / 8, CDs: orders / 10, Orders: orders, Seed: seed, ViolationRate: 0.1})
+	db := input.db
 	if changelogCap != 0 {
 		for _, name := range db.Names() {
 			db.MustInstance(name).SetChangelogCap(changelogCap)
 		}
 	}
-	cfds, cinds, ecfds := mixedSigma()
-	if !withECFDs {
-		ecfds = nil
-	}
-	cs := wrapMixed(cfds, cinds, ecfds)
-	m := NewDBMonitor(New(2), db, cs)
+	m := NewDBMonitor(New(2), db, input.cs)
 
 	prev := m.Violations()
 	fresh := 0
@@ -151,60 +292,21 @@ func dbMonitorOracleRounds(t *testing.T, seed int64, orders, rounds, maxBatch, c
 		batch := make([]DBOp, 1+r.Intn(maxBatch))
 		dead := make(map[string]map[relation.TID]bool)
 		for i := range batch {
-			batch[i] = randomDBOp(r, db, &fresh, dead)
+			batch[i] = input.op(r, db, &fresh, dead)
 		}
 		gained, cleared, err := m.Apply(batch)
 		if err != nil {
 			t.Fatalf("seed %d round %d: Apply: %v", seed, round, err)
 		}
 		got := m.Violations()
-
-		// Oracle 1: the engine's fresh full mixed detection.
-		want := New(1).DetectBatch(db, cs)
-		if !reflect.DeepEqual(got, want) {
+		if want := New(1).DetectBatch(db, input.cs); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d round %d: monitor has %d violations, fresh DetectBatch %d:\nmonitor %v\nfresh   %v",
 				seed, round, len(got), len(want), got, want)
 		}
-		// Oracle 2: the string-keyed per-class legacy detectors,
-		// independent of snapshots, dictionaries and changelogs.
-		gotCFD, gotCIND, gotECFD := SplitViolations(got)
-		order := db.MustInstance("order")
-		if !reflect.DeepEqual(gotCFD, cfd.DetectAll(order, cfds)) {
-			t.Fatalf("seed %d round %d: CFD stream diverges from legacy oracle", seed, round)
+		if class := input.legacy(got); class != "" {
+			t.Fatalf("seed %d round %d: %s stream diverges from legacy oracle", seed, round, class)
 		}
-		if !reflect.DeepEqual(gotCIND, cind.DetectAll(db, cinds)) {
-			t.Fatalf("seed %d round %d: CIND stream diverges from legacy oracle", seed, round)
-		}
-		if withECFDs && !reflect.DeepEqual(gotECFD, ecfd.DetectAll(order, ecfds)) {
-			t.Fatalf("seed %d round %d: eCFD stream diverges from legacy oracle", seed, round)
-		}
-
-		// The diff must exactly transform prev into got.
-		next := make(map[Violation]struct{}, len(prev))
-		for _, v := range prev {
-			next[v] = struct{}{}
-		}
-		for _, v := range cleared {
-			if _, ok := next[v]; !ok {
-				t.Fatalf("seed %d round %d: cleared violation %v was not held", seed, round, v)
-			}
-			delete(next, v)
-		}
-		for _, v := range gained {
-			if _, ok := next[v]; ok {
-				t.Fatalf("seed %d round %d: gained violation %v was already held", seed, round, v)
-			}
-			next[v] = struct{}{}
-		}
-		if len(next) != len(got) {
-			t.Fatalf("seed %d round %d: prev - cleared + gained has %d violations, set has %d",
-				seed, round, len(next), len(got))
-		}
-		for _, v := range got {
-			if _, ok := next[v]; !ok {
-				t.Fatalf("seed %d round %d: %v in set but not in prev - cleared + gained", seed, round, v)
-			}
-		}
+		checkDiff(t, fmt.Sprintf("seed %d round %d", seed, round), prev, gained, cleared, got)
 		prev = got
 	}
 }
@@ -212,7 +314,7 @@ func dbMonitorOracleRounds(t *testing.T, seed int64, orders, rounds, maxBatch, c
 func TestDBMonitorMatchesFreshDetection(t *testing.T) {
 	for _, seed := range []int64{5, 29, 73} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			dbMonitorOracleRounds(t, seed, 300, 25, 12, 0, true)
+			dbMonitorOracleRounds(t, seed, ordersInput(seed, 300, true), 25, 12, 0)
 		})
 	}
 }
@@ -222,7 +324,7 @@ func TestDBMonitorMatchesFreshDetection(t *testing.T) {
 func TestDBMonitorMixedCFDCIND(t *testing.T) {
 	for _, seed := range []int64{11, 47} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			dbMonitorOracleRounds(t, seed, 400, 30, 20, 0, false)
+			dbMonitorOracleRounds(t, seed, ordersInput(seed, 400, false), 30, 20, 0)
 		})
 	}
 }
@@ -231,14 +333,73 @@ func TestDBMonitorMixedCFDCIND(t *testing.T) {
 // regularly outrun them, forcing the full-resync path; the contract
 // must hold unchanged.
 func TestDBMonitorChangelogFallback(t *testing.T) {
-	dbMonitorOracleRounds(t, 61, 200, 20, 30, 8, true)
+	dbMonitorOracleRounds(t, 61, ordersInput(61, 200, true), 20, 30, 8)
 }
 
 // TestDBMonitorForcedCollisions runs the oracle rounds with every
 // CodeIndex probe in one collision chain.
 func TestDBMonitorForcedCollisions(t *testing.T) {
 	defer relation.SetCodeHasherForTest(func([]uint32) uint64 { return 99 })()
-	dbMonitorOracleRounds(t, 83, 120, 12, 10, 0, true)
+	dbMonitorOracleRounds(t, 83, ordersInput(83, 120, true), 12, 10, 0)
+}
+
+// TestDBMonitorEmptyBatch: no ops, no diff.
+func TestDBMonitorEmptyBatch(t *testing.T) {
+	db := gen.Orders(gen.OrdersConfig{Books: 5, CDs: 5, Orders: 30, Seed: 4, ViolationRate: 0.3})
+	cfds, cinds, ecfds := mixedSigma()
+	m := NewDBMonitor(nil, db, wrapMixed(cfds, cinds, ecfds))
+	gained, cleared, err := m.Apply(nil)
+	if err != nil || len(gained) != 0 || len(cleared) != 0 {
+		t.Fatalf("empty batch: gained %v cleared %v err %v", gained, cleared, err)
+	}
+}
+
+// replacedBook builds a stand-in for the database's book relation: a
+// new instance holding the same books in as many inserts — so its
+// changelog version matches the original's and only the instance
+// identity gives the swap away — except that every other book is
+// retitled, orphaning the orders that referenced it.
+func replacedBook(t *testing.T, db *relation.Database) *relation.Instance {
+	t.Helper()
+	book := db.MustInstance("book")
+	out := relation.NewInstance(book.Schema())
+	for i, id := range book.IDs() {
+		tup, _ := book.Tuple(id)
+		if i%2 == 0 {
+			tup = append(relation.Tuple(nil), tup...)
+			tup[1] = relation.Str(fmt.Sprintf("Replaced Title %d", i))
+		}
+		out.MustInsert(tup...)
+	}
+	if out.Version() != book.Version() {
+		t.Fatalf("replacement at version %d, original at %d", out.Version(), book.Version())
+	}
+	return out
+}
+
+// TestDBMonitorRelationReplaced: replacing a relation the batch reads
+// after the monitor was built cannot be caught up from a changelog, so
+// the next Sync takes the full-resync path — exactly once, with an
+// exact diff.
+func TestDBMonitorRelationReplaced(t *testing.T) {
+	db := gen.Orders(gen.OrdersConfig{Books: 20, CDs: 15, Orders: 150, Seed: 23, ViolationRate: 0.1})
+	cfds, cinds, ecfds := mixedSigma()
+	cs := wrapMixed(cfds, cinds, ecfds)
+	m := NewDBMonitor(nil, db, cs)
+	prev := m.Violations()
+	db.Add(replacedBook(t, db))
+	gained, cleared := m.Sync()
+	got := m.Violations()
+	if want := New(1).DetectBatch(db, cs); !reflect.DeepEqual(got, want) {
+		t.Fatalf("monitor holds %d violations after the replacement, DetectBatch %d", len(got), len(want))
+	}
+	if m.FullSyncs() != 1 {
+		t.Fatalf("FullSyncs = %d, want 1", m.FullSyncs())
+	}
+	if len(gained)+len(cleared) == 0 {
+		t.Fatal("replacing the book relation should change the violation set")
+	}
+	checkDiff(t, "relation replaced", prev, gained, cleared, got)
 }
 
 // TestDBMonitorExternalMutations: mutations made directly on the
@@ -358,8 +519,9 @@ func TestDBMonitorBadOp(t *testing.T) {
 	}
 }
 
-// TestDBMonitorLegacyEngineUpgraded mirrors the Monitor behavior: a
-// Legacy engine is upgraded to the columnar path.
+// TestDBMonitorLegacyEngineUpgraded pins the constructor contract: a
+// Legacy engine is upgraded to the columnar path rather than silently
+// detecting the pre-batch state against the mutated database.
 func TestDBMonitorLegacyEngineUpgraded(t *testing.T) {
 	db := gen.Orders(gen.OrdersConfig{Books: 5, CDs: 5, Orders: 20, Seed: 1, ViolationRate: 0.2})
 	_, cinds, _ := mixedSigma()
@@ -369,5 +531,143 @@ func TestDBMonitorLegacyEngineUpgraded(t *testing.T) {
 	}
 	if m.Engine().Workers != 3 {
 		t.Fatal("worker count should carry over")
+	}
+}
+
+// The TestMonitor* tests run the monitor over a one-relation database:
+// the paper's customer instance under the Figure 2 CFDs, churned by
+// randomCustomerOp.
+
+// customerDB is a one-relation database over a generated customer
+// instance, with the Figure 2 CFDs wrapped as its constraint batch.
+func customerDB(n int, seed int64, errorRate float64) (*relation.Database, *relation.Instance, []Constraint) {
+	in := gen.Customers(gen.CustomerConfig{N: n, Seed: seed, ErrorRate: errorRate})
+	db := relation.NewDatabase()
+	db.Add(in)
+	return db, in, WrapCFDs(sigmaFigure2(in.Schema()))
+}
+
+func TestMonitorMatchesFreshDetection(t *testing.T) {
+	for _, seed := range []int64{3, 17, 91} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			dbMonitorOracleRounds(t, seed, customerInput(seed, 300), 60, 8, 0)
+		})
+	}
+}
+
+// TestMonitorManySmallBatches is the steady-state serving shape: a long
+// run of tiny batches against one relation.
+func TestMonitorManySmallBatches(t *testing.T) {
+	dbMonitorOracleRounds(t, 7, customerInput(7, 150), 150, 2, 0)
+}
+
+// TestMonitorChangelogFallback shrinks the changelog below the batch
+// size so Sync always finds the log truncated and must take the
+// full-resync path — which must preserve exactness all the same.
+func TestMonitorChangelogFallback(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	db, in, cs := customerDB(120, 5, 0.2)
+	in.SetChangelogCap(6)
+	m := NewDBMonitor(nil, db, cs)
+	fresh := 0
+	for round := 0; round < 25; round++ {
+		batch := make([]DBOp, 10) // always larger than the cap
+		dead := make(map[string]map[relation.TID]bool)
+		for i := range batch {
+			batch[i] = randomCustomerOp(r, db, &fresh, dead)
+		}
+		if _, _, err := m.Apply(batch); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if got, want := m.Violations(), New(1).DetectBatch(db, cs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: monitor diverges after changelog fallback", round)
+		}
+	}
+	if m.FullSyncs() == 0 {
+		t.Fatal("changelog cap of 6 with batches of 10 never forced a full resync")
+	}
+}
+
+// TestMonitorExternalMutations mutates the relation directly and
+// relies on Sync to pick the changes up from the changelog.
+func TestMonitorExternalMutations(t *testing.T) {
+	db, in, cs := customerDB(100, 9, 0.1)
+	m := NewDBMonitor(nil, db, cs)
+	r := rand.New(rand.NewSource(11))
+	fresh := 0
+	for round := 0; round < 20; round++ {
+		for i := 0; i < 3; i++ {
+			// Ops are applied immediately, so in.IDs() is always current
+			// and no cross-op bookkeeping is needed.
+			op := randomCustomerOp(r, db, &fresh, map[string]map[relation.TID]bool{}).Op
+			switch op.Kind {
+			case OpInsert:
+				in.Insert(op.Tuple)
+			case OpDelete:
+				in.Delete(op.TID)
+			case OpUpdate:
+				if err := in.Update(op.TID, op.Pos, op.Val); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		m.Sync()
+		if got, want := m.Violations(), New(1).DetectBatch(db, cs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: monitor missed external mutations", round)
+		}
+	}
+	if m.FullSyncs() != 0 {
+		t.Fatalf("external mutations within the changelog forced %d full resyncs", m.FullSyncs())
+	}
+}
+
+// TestMonitorLegacyEngineUpgraded: a Legacy engine handed to a monitor
+// over a single relation is upgraded to the columnar path, keeping its
+// worker count.
+func TestMonitorLegacyEngineUpgraded(t *testing.T) {
+	db, _, cs := customerDB(50, 2, 0.1)
+	m := NewDBMonitor(NewLegacy(3), db, cs)
+	if m.Engine().Legacy {
+		t.Fatal("monitor kept the legacy engine")
+	}
+	if m.Engine().Workers != 3 {
+		t.Fatalf("monitor dropped the worker count: %d", m.Engine().Workers)
+	}
+}
+
+// TestMonitorEmptyBatch: no ops, no diff, on a single relation.
+func TestMonitorEmptyBatch(t *testing.T) {
+	db, _, cs := customerDB(30, 4, 0.3)
+	m := NewDBMonitor(nil, db, cs)
+	gained, cleared, err := m.Apply(nil)
+	if err != nil || len(gained) != 0 || len(cleared) != 0 {
+		t.Fatalf("empty batch: gained %v cleared %v err %v", gained, cleared, err)
+	}
+}
+
+// TestMonitorBadOp: a failing op reports an error but leaves the
+// monitor consistent with whatever prefix was applied — and the prefix
+// is applied, the suffix is not.
+func TestMonitorBadOp(t *testing.T) {
+	db, in, cs := customerDB(30, 6, 0.2)
+	m := NewDBMonitor(nil, db, cs)
+	id := in.IDs()[0]
+	_, _, err := m.Apply([]DBOp{
+		UpdateIn("customer", id, 4, relation.Str("applied-before-failure")),
+		UpdateIn("customer", relation.TID(999999), 4, relation.Str("x")), // no such tuple
+		UpdateIn("customer", id, 5, relation.Str("skipped")),
+	})
+	if err == nil {
+		t.Fatal("updating a missing tuple did not error")
+	}
+	if got, want := m.Violations(), New(1).DetectBatch(db, cs); !reflect.DeepEqual(got, want) {
+		t.Fatal("monitor inconsistent after failed op")
+	}
+	t1, _ := in.Tuple(id)
+	if !t1[4].Equal(relation.Str("applied-before-failure")) {
+		t.Fatal("prefix op was not applied")
+	}
+	if t1[5].Equal(relation.Str("skipped")) {
+		t.Fatal("op after the failure was applied")
 	}
 }

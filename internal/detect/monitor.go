@@ -1,55 +1,12 @@
 package detect
 
 import (
-	"fmt"
 	"sort"
 
-	"repro/internal/cfd"
 	"repro/internal/relation"
 )
 
-// Monitor is the stateful face of incremental detection: it owns an
-// engine, the live columnar snapshot of one instance, that snapshot's
-// LHS group indexes, and the current violation set of a CFD batch, and
-// keeps all of them consistent under a stream of update batches. Where
-// Engine.DetectAll answers "what is wrong now" from scratch, a Monitor
-// answers "what just broke and what just got fixed" for the price of
-// the touched groups only:
-//
-//	Monitor.Apply(batch) -> (gained, cleared)
-//
-// routes the batch through the instance changelog, catches the snapshot
-// up via relation.Snapshot.Apply (structural sharing, O(|Δ|) dictionary
-// work, spliced group indexes), runs DetectTouched against both the
-// pre- and the post-batch snapshot — the pre-batch snapshot stays
-// readable because updates are copy-on-write and dictionaries are
-// append-only — and diffs the two against the stored set. Steady-state
-// cost is O(|Δ| · touched-group size) with zero full-instance work; a
-// monitor that has fallen behind a truncated changelog falls back to
-// one full re-detection and keeps going.
-//
-// The maintained invariant, asserted by randomized tests: after every
-// Apply, Violations() is exactly Engine.DetectAll of the mutated
-// instance.
-//
-// A Monitor is single-writer, like the instance it watches: Apply (and
-// Sync) must not run concurrently with each other or with other
-// mutations of the instance. Mutations made between calls outside the
-// Monitor are fine — the next Sync picks them up from the changelog.
-type Monitor struct {
-	engine   *Engine
-	in       *relation.Instance
-	set      []*cfd.CFD
-	lhsSets  [][]int          // deduplicated LHS position sets of the batch
-	relevant [][]bool         // per CFD: attribute position ∈ LHS ∪ RHS
-	sigma    map[*cfd.CFD]int // CFD -> first index in set (canonical order)
-	snap     *relation.Snapshot
-	current  map[cfd.Violation]struct{}
-
-	fullSyncs int // times the changelog fallback forced a full re-detection
-}
-
-// OpKind is the kind of a Monitor operation.
+// OpKind is the kind of a monitor operation.
 type OpKind uint8
 
 // The operation kinds.
@@ -59,7 +16,7 @@ const (
 	OpUpdate
 )
 
-// Op is one mutation of a Monitor batch.
+// Op is one mutation of a monitor batch.
 type Op struct {
 	Kind  OpKind
 	TID   relation.TID   // Delete, Update
@@ -79,317 +36,200 @@ func Update(id relation.TID, pos int, v relation.Value) Op {
 	return Op{Kind: OpUpdate, TID: id, Pos: pos, Val: v}
 }
 
-// NewMonitor builds a monitor over the instance and CFD batch, paying
-// one full detection to seed the violation set (and, through it, the
-// snapshot and every LHS group index the steady state will reuse).
-// A nil engine gets the default configuration; a Legacy engine is
-// silently upgraded to the columnar path, which the monitor requires
-// (its pre-batch detection must run against a frozen snapshot, not the
-// already-mutated instance).
-func NewMonitor(e *Engine, in *relation.Instance, set []*cfd.CFD) *Monitor {
+// monitorCore is the incremental-maintenance state DBMonitor and
+// ShardedDBMonitor share: the engine, the constraint batch, the stored
+// violation set and its diff protocol. A flat database is the one-shard
+// case. Evaluations reach the core split by shard ([][]Violation,
+// indexed by shard), and the core tags each stored violation with the
+// shard whose evaluation produced it.
+//
+// The tag is exact without a directory lookup: a shard-local violation
+// is only ever derived on the shard holding its primary tuple (CFD and
+// eCFD groups lie wholly inside one shard; a CIND violation is its
+// source tuple's), and a tuple that moves shards is touched on both
+// shards in the same commit, so the new side re-derives — and retags —
+// every violation the move re-homes.
+type monitorCore struct {
+	engine    *Engine
+	cs        []Constraint
+	reads     []string // sorted union of the constraints' Reads()
+	sigma     map[any]int
+	current   map[Violation]int // stored violation -> shard tag
+	counts    []int             // stored violations per shard tag
+	fullSyncs int               // times the changelog fallback forced a full re-detection
+}
+
+// newMonitorCore is the constructor prologue: a nil engine gets the
+// default configuration, and a Legacy engine is silently upgraded to
+// the columnar path, which the monitors require (their pre-batch
+// detection must run against frozen snapshots, not the already-mutated
+// instances).
+func newMonitorCore(e *Engine, cs []Constraint) monitorCore {
 	if e == nil {
 		e = New(0)
 	}
 	if e.Legacy {
 		e = &Engine{Workers: e.Workers}
 	}
-	m := &Monitor{
-		engine:  e,
-		in:      in,
-		set:     set,
-		sigma:   make(map[*cfd.CFD]int, len(set)),
-		current: make(map[cfd.Violation]struct{}),
-	}
+	c := monitorCore{engine: e, cs: cs, sigma: SigmaOf(cs)}
 	seen := make(map[string]bool)
-	arity := in.Schema().Arity()
-	for i, c := range set {
-		if _, ok := m.sigma[c]; !ok {
-			m.sigma[c] = i
-		}
-		if key := lhsKey(c.LHS()); !seen[key] {
-			seen[key] = true
-			m.lhsSets = append(m.lhsSets, c.LHS())
-		}
-		rel := make([]bool, arity)
-		for _, p := range c.LHS() {
-			rel[p] = true
-		}
-		for _, p := range c.RHS() {
-			rel[p] = true
-		}
-		m.relevant = append(m.relevant, rel)
-	}
-	m.snap = relation.SnapshotOf(in)
-	for _, v := range e.DetectAllOn(m.snap, set) {
-		m.current[v] = struct{}{}
-	}
-	return m
-}
-
-// Apply applies the batch to the instance and returns the violations it
-// gained (newly broken) and cleared (newly fixed), each in canonical
-// order. Ops are applied in sequence; on the first failing op the
-// remaining ops are skipped, the monitor resynchronizes with whatever
-// prefix was applied, and the error is returned alongside the diff.
-func (m *Monitor) Apply(batch []Op) (gained, cleared []cfd.Violation, err error) {
-	for _, op := range batch {
-		switch op.Kind {
-		case OpInsert:
-			if _, e := m.in.Insert(op.Tuple); e != nil {
-				err = fmt.Errorf("monitor: %v", e)
-			}
-		case OpDelete:
-			m.in.Delete(op.TID)
-		case OpUpdate:
-			if e := m.in.Update(op.TID, op.Pos, op.Val); e != nil {
-				err = fmt.Errorf("monitor: %v", e)
+	for _, con := range cs {
+		for _, rel := range con.Reads() {
+			if !seen[rel] {
+				seen[rel] = true
+				c.reads = append(c.reads, rel)
 			}
 		}
-		if err != nil {
-			break
-		}
 	}
-	gained, cleared = m.Sync()
-	return gained, cleared, err
+	sort.Strings(c.reads)
+	return c
 }
 
-// Sync brings the monitor up to date with mutations made directly on
-// the instance (outside Apply) and returns the violation diff, like
-// Apply without the mutation step.
-func (m *Monitor) Sync() (gained, cleared []cfd.Violation) {
-	old := m.snap
-	entries, ok := m.in.ChangesSince(old.Version())
-	if !ok {
-		return m.fullResync()
+// seed replaces the stored set with a full evaluation split by shard.
+func (c *monitorCore) seed(fresh [][]Violation) {
+	n := 0
+	for _, vs := range fresh {
+		n += len(vs)
 	}
-	if len(entries) == 0 {
-		return nil, nil
+	c.current = make(map[Violation]int, n)
+	c.counts = make([]int, len(fresh))
+	for s, vs := range fresh {
+		c.counts[s] = len(vs)
+		for _, v := range vs {
+			c.current[v] = s
+		}
 	}
-	d := relation.NetDelta(entries)
-	snap := relation.SnapshotOf(m.in) // delta catch-up, or rebuild when too far behind
-	perCFD := m.touchedPerCFD(old, &d)
+}
 
-	// The stored set equals DetectAll(old); DetectTouched(old) is its
-	// restriction to the touched groups, so replacing that slice with
-	// DetectTouched(new) re-establishes the invariant for the new
-	// snapshot. Groups no member of a CFD's touched list can name
-	// changed neither membership nor values, so their stored violations
-	// carry over. Each CFD gets its own list — an update that intersects
-	// neither the CFD's LHS nor its RHS cannot change its violations, so
-	// its (possibly large) group is not rescanned for that CFD.
-	var oldTouched, newTouched []cfd.Violation
-	for i, c := range m.set {
-		touched := perCFD[i]
-		if len(touched) == 0 {
+// scan collects, from db's changelogs, the net delta of every relation
+// the batch reads since the snapshot old. Relations no constraint reads
+// cannot change the violation set, so their changelogs are ignored (and
+// cannot force a full resync). resync reports that a relation was added
+// or replaced after old was taken, or that its changelog was truncated
+// past old; deltas is nil when nothing read changed.
+func (c *monitorCore) scan(db *relation.Database, old *relation.DBSnapshot) (deltas map[string]*relation.Delta, resync bool) {
+	for _, name := range c.reads {
+		in, ok := db.Instance(name)
+		if !ok {
+			continue // never existed: nothing to diff
+		}
+		oldSnap, ok := old.Snapshot(name)
+		if !ok || oldSnap.Source() != in {
+			return nil, true // relation added or replaced since old
+		}
+		entries, ok := in.ChangesSince(oldSnap.Version())
+		if !ok {
+			return nil, true // changelog truncated past the snapshot
+		}
+		if len(entries) == 0 {
 			continue
 		}
-		oldTouched = append(oldTouched,
-			cfd.DetectTouchedWithSnapshot(old, c, old.CodeIndexOn(c.LHS()), touched)...)
-		newTouched = append(newTouched,
-			cfd.DetectTouchedWithSnapshot(snap, c, snap.CodeIndexOn(c.LHS()), touched)...)
+		d := relation.NetDelta(entries)
+		if deltas == nil {
+			deltas = make(map[string]*relation.Delta)
+		}
+		deltas[name] = &d
 	}
+	return deltas, false
+}
 
-	oldSet := make(map[cfd.Violation]struct{}, len(oldTouched))
-	for _, v := range oldTouched {
-		oldSet[v] = struct{}{}
-		delete(m.current, v)
+// diff folds one incremental step into the stored set and returns the
+// canonical gained/cleared diff. oldTouched and newTouched are the
+// touched evaluations on the pre- and post-batch snapshots, split by
+// shard. The stored set equals the full evaluation of the pre-batch
+// snapshots, and the old side is its restriction to the touched
+// witnesses, so replacing that slice with the new side re-establishes
+// the invariant for the post-batch snapshots (violations outside every
+// touched list carry over — that is Constraint.Touched's contract).
+//
+// Every old-side violation is stored under the index of its list (see
+// the tag invariant on monitorCore), so clearing one needs no tag
+// lookup; a new-side violation already stored is retagged when its
+// primary tuple changed shards.
+func (c *monitorCore) diff(oldTouched, newTouched [][]Violation) (gained, cleared []Violation) {
+	n := 0
+	for _, vs := range newTouched {
+		n += len(vs)
 	}
-	for _, v := range newTouched {
-		// Diff against the pre-batch stored set, not oldTouched: a group
-		// re-reported by the new side that was not (redundantly) covered
-		// by the old side contributes identical violations, which are
-		// not gains.
-		if _, had := m.current[v]; !had {
-			if _, had := oldSet[v]; !had {
+	newSet := make(map[Violation]struct{}, n)
+	for s, vs := range newTouched {
+		for _, v := range vs {
+			newSet[v] = struct{}{}
+			// Diff against the pre-batch stored set, not the old side: a
+			// violation the new side re-reports that the old side did not
+			// (redundantly) cover is identical to a stored one — not a gain.
+			tag, had := c.current[v]
+			if had && tag == s {
+				continue
+			}
+			if had {
+				c.counts[tag]--
+			} else {
 				gained = append(gained, v)
 			}
-		}
-		m.current[v] = struct{}{}
-	}
-	newSet := make(map[cfd.Violation]struct{}, len(newTouched))
-	for _, v := range newTouched {
-		newSet[v] = struct{}{}
-	}
-	for _, v := range oldTouched {
-		if _, still := newSet[v]; !still {
-			cleared = append(cleared, v)
+			c.current[v] = s
+			c.counts[s]++
 		}
 	}
-	m.snap = snap
-	m.sortCanonical(gained)
-	m.sortCanonical(cleared)
+	for s, vs := range oldTouched {
+		for _, v := range vs {
+			if _, still := newSet[v]; !still {
+				cleared = append(cleared, v)
+				delete(c.current, v)
+				c.counts[s]--
+			}
+		}
+	}
+	SortViolations(gained, c.sigma)
+	SortViolations(cleared, c.sigma)
 	return gained, cleared
 }
 
-// touchedPerCFD assembles, per CFD, the TID list whose groups cover
-// every violation of that CFD that can change across the delta:
-//
-//   - every inserted or deleted TID — membership changes concern every
-//     CFD; an updated TID only concerns CFDs whose LHS ∪ RHS intersects
-//     the updated positions (others can neither gain nor lose
-//     violations from it, so its — possibly large — group is not
-//     rescanned for them);
-//   - for each LHS position set S and each TID leaving an S-group
-//     (deleted, or updated on an attribute of S): one surviving
-//     co-member of the old group, so the shrunken group is re-detected
-//     on the new side (its representative may have left with the TID);
-//   - for each TID moving into an S-group by update: one old member of
-//     the destination group, so the group's pre-batch violations are
-//     re-derived on the old side (the mover may have a lower TID than
-//     the old representative, changing every pair violation's
-//     identity). Inserted TIDs never need this: fresh TIDs sort after
-//     every member, so the destination group keeps its representative
-//     and its old violations stay valid verbatim.
-func (m *Monitor) touchedPerCFD(old *relation.Snapshot, d *relation.Delta) [][]relation.TID {
-	deleted := make(map[relation.TID]bool, len(d.Deleted))
-	for _, id := range d.Deleted {
-		deleted[id] = true
-	}
-	// Group co-members are a property of the LHS position set, shared by
-	// every CFD drawn from it.
-	coByLHS := make(map[string][]relation.TID, len(m.lhsSets))
-	for _, S := range m.lhsSets {
-		var co []relation.TID
-		cx := old.CodeIndexOn(S)
-		coMember := func(tid relation.TID) {
-			row, ok := old.Row(tid)
-			if !ok {
-				return
-			}
-			for _, r := range cx.GroupOf(row) {
-				id := old.TID(int(r))
-				if id == tid || deleted[id] || d.Touches(id, S) {
-					continue // gone or moved itself: cannot vouch for the group
-				}
-				co = append(co, id)
-				return
-			}
-		}
-		for _, id := range d.Deleted {
-			coMember(id)
-		}
-		for id := range d.Updated {
-			if !d.Touches(id, S) {
-				continue // same group on both sides; id itself covers it
-			}
-			coMember(id)
-			if t, ok := m.in.Tuple(id); ok {
-				if ids := cx.Lookup(t); len(ids) > 0 {
-					co = append(co, ids[0])
-				}
-			}
-		}
-		coByLHS[lhsKey(S)] = co
-	}
-
-	out := make([][]relation.TID, len(m.set))
-	for i, c := range m.set {
-		rel := m.relevant[i]
-		set := make(map[relation.TID]struct{})
-		for _, id := range d.Inserted {
-			set[id] = struct{}{}
-		}
-		for _, id := range d.Deleted {
-			set[id] = struct{}{}
-		}
-		for id, ps := range d.Updated {
-			for _, p := range ps {
-				if rel[p] {
-					set[id] = struct{}{}
-					break
-				}
-			}
-		}
-		for _, id := range coByLHS[lhsKey(c.LHS())] {
-			set[id] = struct{}{}
-		}
-		if len(set) == 0 {
-			continue
-		}
-		list := make([]relation.TID, 0, len(set))
-		for id := range set {
-			list = append(list, id)
-		}
-		sort.Slice(list, func(a, b int) bool { return list[a] < list[b] })
-		out[i] = list
-	}
-	return out
-}
-
-// fullResync rebuilds the violation set from scratch — the fallback
-// when the bounded changelog no longer reaches back to the monitor's
-// snapshot — and diffs it against the stored set so Apply's contract
-// (exact gained/cleared) holds on this path too.
-func (m *Monitor) fullResync() (gained, cleared []cfd.Violation) {
-	m.fullSyncs++
-	m.snap = relation.SnapshotOf(m.in)
-	fresh := m.engine.DetectAllOn(m.snap, m.set)
-	freshSet := make(map[cfd.Violation]struct{}, len(fresh))
-	for _, v := range fresh {
-		freshSet[v] = struct{}{}
-		if _, had := m.current[v]; !had {
+// resync is the fallback when some bounded changelog no longer reaches
+// back to the monitor's snapshots (or a relation was replaced): it
+// replaces the stored set with a fresh full evaluation and diffs the
+// two, so the exact gained/cleared contract holds on this path too.
+func (c *monitorCore) resync(fresh [][]Violation) (gained, cleared []Violation) {
+	c.fullSyncs++
+	prev := c.current
+	c.seed(fresh)
+	for v := range c.current {
+		if _, had := prev[v]; !had {
 			gained = append(gained, v)
 		}
 	}
-	for v := range m.current {
-		if _, still := freshSet[v]; !still {
+	for v := range prev {
+		if _, still := c.current[v]; !still {
 			cleared = append(cleared, v)
 		}
 	}
-	m.current = freshSet
-	m.sortCanonical(gained)
-	m.sortCanonical(cleared)
+	SortViolations(gained, c.sigma)
+	SortViolations(cleared, c.sigma)
 	return gained, cleared
 }
 
-// Violations returns the current violation set in the canonical
-// reporting order — byte-identical to Engine.DetectAll of the instance
-// in its present state.
-func (m *Monitor) Violations() []cfd.Violation {
-	out := make([]cfd.Violation, 0, len(m.current))
-	for v := range m.current {
+// Violations returns the current violation set in the canonical mixed
+// order — byte-identical to Engine.DetectBatch of the watched database
+// (for a sharded monitor, of the equivalent unsharded one) in its
+// present state.
+func (c *monitorCore) Violations() []Violation {
+	if len(c.current) == 0 {
+		return nil // matches DetectBatch's nil on a clean database
+	}
+	out := make([]Violation, 0, len(c.current))
+	for v := range c.current {
 		out = append(out, v)
 	}
-	m.sortCanonical(out)
+	SortViolations(out, c.sigma)
 	return out
 }
 
-// sortCanonical orders violations by (T1, T2, Attr, Row), ties broken
-// by Σ position — exactly the order cfd.SortViolations' stable merge
-// produces when violations are gathered per CFD in Σ order.
-func (m *Monitor) sortCanonical(vs []cfd.Violation) {
-	sort.Slice(vs, func(i, j int) bool {
-		if vs[i].T1 != vs[j].T1 {
-			return vs[i].T1 < vs[j].T1
-		}
-		if vs[i].T2 != vs[j].T2 {
-			return vs[i].T2 < vs[j].T2
-		}
-		if vs[i].Attr != vs[j].Attr {
-			return vs[i].Attr < vs[j].Attr
-		}
-		if vs[i].Row != vs[j].Row {
-			return vs[i].Row < vs[j].Row
-		}
-		return m.sigma[vs[i].CFD] < m.sigma[vs[j].CFD]
-	})
-}
-
 // Len returns the size of the current violation set.
-func (m *Monitor) Len() int { return len(m.current) }
-
-// Snapshot returns the maintained snapshot (current as of the last
-// Apply/Sync); callers such as repair can detect against it through the
-// engine's *On entry points without re-freezing the instance.
-func (m *Monitor) Snapshot() *relation.Snapshot { return m.snap }
-
-// Instance returns the watched instance.
-func (m *Monitor) Instance() *relation.Instance { return m.in }
+func (c *monitorCore) Len() int { return len(c.current) }
 
 // Engine returns the monitor's engine (always on the columnar path).
-func (m *Monitor) Engine() *Engine { return m.engine }
+func (c *monitorCore) Engine() *Engine { return c.engine }
 
 // FullSyncs reports how many times the monitor had to fall back to a
-// full re-detection because the changelog had been truncated past its
-// snapshot.
-func (m *Monitor) FullSyncs() int { return m.fullSyncs }
+// full re-detection.
+func (c *monitorCore) FullSyncs() int { return c.fullSyncs }

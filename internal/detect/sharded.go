@@ -236,33 +236,43 @@ func buildTargetKeys(snaps []*relation.DBSnapshot, cs []Constraint) map[string]*
 // every (constraint, shard) pair is one task on the worker pool —
 // CFDs/eCFDs through their ordinary per-shard Eval (shard-locality
 // makes that exact), CINDs through the replicated key index — and the
-// merged stream is sorted canonically. Each source tuple lives on
-// exactly one shard, so the concatenation has exactly the unsharded
-// multiplicities and the final stable sort makes the output
-// byte-identical to DetectBatch.
-func (e *Engine) shardedEvalAll(snaps []*relation.DBSnapshot, cs []Constraint, tk map[string]*cind.KeyIndex) []Violation {
-	S := len(snaps)
-	ctxs := make([]*Ctx, S)
+// results are gathered per shard. Each source tuple lives on exactly
+// one shard, so the concatenation has exactly the unsharded
+// multiplicities.
+func (e *Engine) shardedEvalAll(snaps []*relation.DBSnapshot, cs []Constraint, tk map[string]*cind.KeyIndex) [][]Violation {
+	ctxs := make([]*Ctx, len(snaps))
 	for s := range ctxs {
 		ctxs[s] = e.planBatch(snaps[s], cs)
 	}
-	var out []Violation
-	runOrdered(e.workers(), len(cs)*S, func(k int) []Violation {
-		ci, s := k/S, k%S
+	return e.fanShards(len(cs), len(snaps), func(ci, s int) []Violation {
 		if cc, ok := cs[ci].(cindConstraint); ok {
 			src, _ := snaps[s].Snapshot(cc.c.Src().Name())
 			return box(cind.DetectWithKeys(src, cc.c, tk[tkKey(cc.c)]))
 		}
 		return cs[ci].Eval(ctxs[s])
-	}, func(vs []Violation) { out = append(out, vs...) })
-	SortViolations(out, SigmaOf(cs))
+	})
+}
+
+// fanShards runs eval for every (constraint, shard) pair on the worker
+// pool and gathers the results per shard, each shard's list in
+// constraint order.
+func (e *Engine) fanShards(nc, S int, eval func(ci, s int) []Violation) [][]Violation {
+	out := make([][]Violation, S)
+	next := 0 // runOrdered emits in task order
+	runOrdered(e.workers(), nc*S, func(k int) []Violation {
+		return eval(k/S, k%S)
+	}, func(vs []Violation) {
+		out[next%S] = append(out[next%S], vs...)
+		next++
+	})
 	return out
 }
 
 // DetectBatchSharded is DetectBatch over a sharded database:
 // scatter-gather evaluation of the mixed batch, byte-identical to the
-// single-partition engine on the equivalent Database. It fails when the
-// batch is not shardable under the database's partitioner (see
+// single-partition engine on the equivalent Database (the final stable
+// sort puts the merged per-shard stream in canonical order). It fails
+// when the batch is not shardable under the database's partitioner (see
 // CheckShardable). A Legacy engine silently evaluates on the columnar
 // path, like the monitors.
 func (e *Engine) DetectBatchSharded(sdb *relation.ShardedDB, cs []Constraint) ([]Violation, error) {
@@ -270,7 +280,12 @@ func (e *Engine) DetectBatchSharded(sdb *relation.ShardedDB, cs []Constraint) ([
 		return nil, err
 	}
 	snaps := sdb.Snapshots()
-	return e.shardedEvalAll(snaps, cs, buildTargetKeys(snaps, cs)), nil
+	var out []Violation
+	for _, vs := range e.shardedEvalAll(snaps, cs, buildTargetKeys(snaps, cs)) {
+		out = append(out, vs...)
+	}
+	SortViolations(out, SigmaOf(cs))
+	return out, nil
 }
 
 // ShardedDBMonitor is DBMonitor over a ShardedDB: it owns the per-shard
@@ -291,53 +306,30 @@ func (e *Engine) DetectBatchSharded(sdb *relation.ShardedDB, cs []Constraint) ([
 // Apply bundles the three steps with a bounded worker pool for callers
 // without their own writers.
 type ShardedDBMonitor struct {
-	engine    *Engine
-	sdb       *relation.ShardedDB
-	cs        []Constraint
-	reads     []string
-	sigma     map[any]int
-	snaps     []*relation.DBSnapshot
-	tkeys     map[string]*cind.KeyIndex
-	current   map[Violation]struct{}
-	fullSyncs int
+	monitorCore
+	sdb   *relation.ShardedDB
+	snaps []*relation.DBSnapshot
+	tkeys map[string]*cind.KeyIndex
 }
 
 // NewShardedDBMonitor builds the monitor and pays one full sharded
 // detection to seed the violation set. It fails when the batch is not
 // shardable under sdb's partitioner.
 func NewShardedDBMonitor(e *Engine, sdb *relation.ShardedDB, cs []Constraint) (*ShardedDBMonitor, error) {
-	if e == nil {
-		e = New(0)
-	}
-	if e.Legacy {
-		e = &Engine{Workers: e.Workers}
-	}
 	if err := CheckShardable(sdb.Partitioner(), cs); err != nil {
 		return nil, err
 	}
-	m := &ShardedDBMonitor{
-		engine:  e,
-		sdb:     sdb,
-		cs:      cs,
-		sigma:   SigmaOf(cs),
-		snaps:   sdb.Snapshots(),
-		current: make(map[Violation]struct{}),
-	}
-	seen := make(map[string]bool)
-	for _, c := range cs {
-		for _, rel := range c.Reads() {
-			if !seen[rel] {
-				seen[rel] = true
-				m.reads = append(m.reads, rel)
-			}
-		}
-	}
-	sort.Strings(m.reads)
-	m.tkeys = buildTargetKeys(m.snaps, cs)
-	for _, v := range e.shardedEvalAll(m.snaps, cs, m.tkeys) {
-		m.current[v] = struct{}{}
-	}
+	m := &ShardedDBMonitor{monitorCore: newMonitorCore(e, cs), sdb: sdb}
+	m.seed(m.evalAll())
 	return m, nil
+}
+
+// evalAll refreezes every shard, rebuilds the replicated key indexes
+// and evaluates the full batch — the seed and the full-resync fallback.
+func (m *ShardedDBMonitor) evalAll() [][]Violation {
+	m.snaps = m.sdb.Snapshots()
+	m.tkeys = buildTargetKeys(m.snaps, m.cs)
+	return m.engine.shardedEvalAll(m.snaps, m.cs, m.tkeys)
 }
 
 // Route validates and routes a logical batch into per-shard sub-batches
@@ -413,7 +405,7 @@ func (m *ShardedDBMonitor) Apply(batch []DBOp) (gained, cleared []Violation, err
 // canonical violation diff. The phases, in order:
 //
 //  1. per-shard, per-relation deltas from the instance changelogs
-//     (truncation → full resync);
+//     (truncation or a replaced relation → full resync);
 //  2. per-shard snapshot catch-up (each shard pays O(|its Δ|));
 //  3. touched lists per (constraint, shard) — shard-local reasoning for
 //     CFDs/eCFDs, and for CINDs the union of the shard's own source
@@ -422,78 +414,48 @@ func (m *ShardedDBMonitor) Apply(batch []DBOp) (gained, cleared []Violation, err
 //  4. old-side evaluation of the touched lists (against the replicated
 //     key state the old violations were computed under);
 //  5. the target-key replica absorbs the batch's target-side deltas;
-//  6. new-side evaluation, then the same stored-set diff as DBMonitor.
+//  6. new-side evaluation, then the stored-set diff DBMonitor shares.
 func (m *ShardedDBMonitor) Sync() (gained, cleared []Violation) {
 	S := m.sdb.Shards()
 	// Phase 1 fans per shard across the worker pool: shards are
 	// disjoint Databases, so the changelog scans and delta netting
-	// share nothing. The full-resync triggers (relation replaced,
-	// changelog truncated) are gathered as per-shard flags and decided
-	// sequentially after the barrier, so the fallback still runs on the
-	// sequencer's goroutine.
+	// share nothing. The full-resync triggers are gathered as per-shard
+	// flags and decided sequentially after the barrier, so the fallback
+	// still runs on the sequencer's goroutine.
 	type shardScan struct {
 		deltas map[string]*relation.Delta
 		resync bool
 	}
-	scans := make([]shardScan, S)
-	scanShard := func(s int) shardScan {
-		db := m.sdb.Shard(s)
-		var sc shardScan
-		for _, name := range m.reads {
-			in, ok := db.Instance(name)
-			if !ok {
-				continue // never existed: nothing to diff
-			}
-			oldSnap, ok := m.snaps[s].Snapshot(name)
-			if !ok || oldSnap.Source() != in {
-				sc.resync = true // relation added or replaced
-				return sc
-			}
-			entries, ok := in.ChangesSince(oldSnap.Version())
-			if !ok {
-				sc.resync = true // changelog truncated past the snapshot
-				return sc
-			}
-			if len(entries) == 0 {
-				continue
-			}
-			d := relation.NetDelta(entries)
-			if sc.deltas == nil {
-				sc.deltas = make(map[string]*relation.Delta)
-			}
-			sc.deltas[name] = &d
-		}
-		return sc
-	}
+	deltas := make([]map[string]*relation.Delta, S)
+	resync, changed := false, false
 	next := 0
-	runOrdered(m.engine.workers(), S, scanShard, func(sc shardScan) {
-		scans[next] = sc
+	runOrdered(m.engine.workers(), S, func(s int) shardScan {
+		d, r := m.scan(m.sdb.Shard(s), m.snaps[s])
+		return shardScan{d, r}
+	}, func(sc shardScan) {
+		deltas[next] = sc.deltas
+		resync = resync || sc.resync
+		changed = changed || sc.deltas != nil
 		next++
 	})
-	deltas := make([]map[string]*relation.Delta, S)
-	changed := false
-	for s, sc := range scans {
-		if sc.resync {
-			return m.fullResync()
-		}
-		deltas[s] = sc.deltas
-		changed = changed || sc.deltas != nil
+	if resync {
+		return m.resync(m.evalAll())
 	}
 	if !changed {
 		return nil, nil
 	}
 	// Phase 2: per-shard snapshot catch-up, concurrent inside
 	// ShardedDB.Snapshots (each shard pays O(|its Δ|) on its own core).
-	newSnaps := m.sdb.Snapshots()
+	oldSnaps, newSnaps := m.snaps, m.sdb.Snapshots()
 
 	tcs := make([]*TouchCtx, S)
 	for s := 0; s < S; s++ {
 		tcs[s] = &TouchCtx{
-			db: m.sdb.Shard(s), old: m.snaps[s], new: newSnaps[s],
+			db: m.sdb.Shard(s), old: oldSnaps[s], new: newSnaps[s],
 			deltas: deltas[s], coverInserts: true,
 		}
 	}
-	yChanges := m.collectYChanges(deltas, newSnaps)
+	yChanges := m.collectYChanges(deltas, oldSnaps, newSnaps)
 	// Phase 3 fans per shard, not per constraint: a TouchCtx memoizes
 	// CoMembers lazily, so every constraint of one shard must run on
 	// one goroutine, while distinct shards touch disjoint contexts and
@@ -507,7 +469,7 @@ func (m *ShardedDBMonitor) Sync() (gained, cleared []Violation) {
 	runOrdered(m.engine.workers(), S, func(s int) struct{} {
 		for i, c := range m.cs {
 			if cc, ok := c.(cindConstraint); ok {
-				touched[i][s] = cindShardTouched(cc.c, tcs[s], yChanges[i])
+				touched[i][s] = cindTouched(cc.c, tcs[s], yChanges[i])
 			} else if deltas[s] != nil {
 				touched[i][s] = c.Touched(tcs[s])
 			}
@@ -518,135 +480,43 @@ func (m *ShardedDBMonitor) Sync() (gained, cleared []Violation) {
 	// Old side first: the stored set was computed against the replica's
 	// pre-batch state, so re-deriving its touched restriction must probe
 	// that same state; only then does the replica absorb the deltas.
-	oldTouched := m.evalTouched(m.snaps, touched)
-	m.applyKeyDeltas(deltas, m.snaps, newSnaps)
-	newTouched := m.evalTouched(newSnaps, touched)
-
-	oldSet := make(map[Violation]struct{}, len(oldTouched))
-	for _, v := range oldTouched {
-		oldSet[v] = struct{}{}
-		delete(m.current, v)
-	}
-	for _, v := range newTouched {
-		if _, had := m.current[v]; !had {
-			if _, had := oldSet[v]; !had {
-				gained = append(gained, v)
-			}
-		}
-		m.current[v] = struct{}{}
-	}
-	newSet := make(map[Violation]struct{}, len(newTouched))
-	for _, v := range newTouched {
-		newSet[v] = struct{}{}
-	}
-	for _, v := range oldTouched {
-		if _, still := newSet[v]; !still {
-			cleared = append(cleared, v)
-		}
-	}
+	oldTouched := m.evalTouched(oldSnaps, touched)
+	m.applyKeyDeltas(deltas, oldSnaps, newSnaps)
 	m.snaps = newSnaps
-	SortViolations(gained, m.sigma)
-	SortViolations(cleared, m.sigma)
-	return gained, cleared
+	return m.diff(oldTouched, m.evalTouched(newSnaps, touched))
 }
 
 // collectYChanges gathers, per CIND constraint, the Y projections of
 // every target tuple that entered, left, or changed its Y ∪ Yp
 // projection on ANY shard — the broadcast payload probed against every
 // shard's source index in phase 3.
-func (m *ShardedDBMonitor) collectYChanges(deltas []map[string]*relation.Delta, newSnaps []*relation.DBSnapshot) [][][]relation.Value {
+func (m *ShardedDBMonitor) collectYChanges(deltas []map[string]*relation.Delta, oldSnaps, newSnaps []*relation.DBSnapshot) [][][]relation.Value {
 	out := make([][][]relation.Value, len(m.cs))
 	for i, c := range m.cs {
 		cc, ok := c.(cindConstraint)
 		if !ok {
 			continue
 		}
-		dstRel := cc.c.Dst().Name()
-		keyPos := cc.c.TargetKeyPos()
-		y := cc.c.Y()
-		var changes [][]relation.Value
-		grab := func(snap *relation.Snapshot, id relation.TID) {
-			if snap == nil {
-				return
-			}
-			r, ok := snap.Row(id)
-			if !ok {
-				return
-			}
-			vals := make([]relation.Value, len(y))
-			for j, p := range y {
-				vals[j] = snap.Value(r, p)
-			}
-			changes = append(changes, vals)
-		}
+		dst := cc.c.Dst().Name()
 		for s, ds := range deltas {
-			d := ds[dstRel]
-			if d == nil || d.Empty() {
-				continue
-			}
-			oldDst, _ := m.snaps[s].Snapshot(dstRel)
-			newDst, _ := newSnaps[s].Snapshot(dstRel)
-			for _, id := range d.Inserted {
-				grab(newDst, id)
-			}
-			for _, id := range d.Deleted {
-				grab(oldDst, id)
-			}
-			for id := range d.Updated {
-				if d.Touches(id, keyPos) {
-					grab(oldDst, id)
-					grab(newDst, id)
-				}
-			}
+			oldDst, _ := oldSnaps[s].Snapshot(dst)
+			newDst, _ := newSnaps[s].Snapshot(dst)
+			out[i] = targetYChanges(cc.c, ds[dst], oldDst, newDst, out[i])
 		}
-		out[i] = changes
 	}
 	return out
-}
-
-// cindShardTouched mirrors cindConstraint.Touched for one shard: the
-// shard's own source-side delta, plus the broadcast target-side changes
-// probed against this shard's pre-batch source X index.
-func cindShardTouched(c *cind.CIND, tc *TouchCtx, yChanges [][]relation.Value) []relation.TID {
-	srcRel := c.Src().Name()
-	set := make(map[relation.TID]struct{})
-	srcPos := c.SourceGroupPos()
-	if d := tc.Delta(srcRel); d != nil {
-		for _, id := range d.Inserted {
-			set[id] = struct{}{}
-		}
-		for _, id := range d.Deleted {
-			set[id] = struct{}{}
-		}
-		for id := range d.Updated {
-			if d.Touches(id, srcPos) {
-				set[id] = struct{}{}
-			}
-		}
-	}
-	if len(yChanges) > 0 {
-		if oldSrc := tc.Old(srcRel); oldSrc != nil {
-			srcX := oldSrc.CodeIndexOn(c.X())
-			for _, vals := range yChanges {
-				for _, sid := range srcX.LookupValues(vals) {
-					set[sid] = struct{}{}
-				}
-			}
-		}
-	}
-	return sortedTIDs(set)
 }
 
 // evalTouched evaluates the per-(constraint, shard) touched lists over
 // the given per-shard snapshots, probing the replica's CURRENT key
 // state for CINDs (the caller sequences the replica update between the
-// old- and new-side calls). Results feed set diffs, so no sort.
-func (m *ShardedDBMonitor) evalTouched(snaps []*relation.DBSnapshot, touched [][][]relation.TID) []Violation {
-	S := len(snaps)
+// old- and new-side calls). Results feed the stored-set diff, so no
+// sort.
+func (m *ShardedDBMonitor) evalTouched(snaps []*relation.DBSnapshot, touched [][][]relation.TID) [][]Violation {
 	// Plan only the shards with touched work: a small batch lands on one
 	// shard, and paying the per-shard plan (maps, lazy index handles) for
 	// every idle shard twice per commit would dominate the steady state.
-	ctxs := make([]*Ctx, S)
+	ctxs := make([]*Ctx, len(snaps))
 	for ci := range touched {
 		for s, tl := range touched[ci] {
 			if len(tl) > 0 && ctxs[s] == nil {
@@ -654,9 +524,7 @@ func (m *ShardedDBMonitor) evalTouched(snaps []*relation.DBSnapshot, touched [][
 			}
 		}
 	}
-	var out []Violation
-	runOrdered(m.engine.workers(), len(m.cs)*S, func(k int) []Violation {
-		ci, s := k/S, k%S
+	return m.engine.fanShards(len(m.cs), len(snaps), func(ci, s int) []Violation {
 		tl := touched[ci][s]
 		if len(tl) == 0 {
 			return nil
@@ -666,8 +534,7 @@ func (m *ShardedDBMonitor) evalTouched(snaps []*relation.DBSnapshot, touched [][
 			return box(cind.DetectTouchedWithKeys(src, cc.c, m.tkeys[tkKey(cc.c)], tl))
 		}
 		return m.cs[ci].EvalTouched(ctxs[s], tl)
-	}, func(vs []Violation) { out = append(out, vs...) })
-	return out
+	})
 }
 
 // applyKeyDeltas folds the batch's target-side deltas into every
@@ -687,94 +554,27 @@ func (m *ShardedDBMonitor) applyKeyDeltas(deltas []map[string]*relation.Delta, o
 		}
 		done[key] = true
 		idx := m.tkeys[key]
-		dstRel := cc.c.Dst().Name()
+		dst := cc.c.Dst().Name()
 		keyPos := cc.c.TargetKeyPos()
 		for s, ds := range deltas {
-			d := ds[dstRel]
-			if d == nil || d.Empty() {
-				continue
-			}
-			oldDst, _ := oldSnaps[s].Snapshot(dstRel)
-			newDst, _ := newSnaps[s].Snapshot(dstRel)
-			rowKey := func(snap *relation.Snapshot, id relation.TID) ([]byte, bool) {
-				if snap == nil {
-					return nil, false
-				}
-				r, ok := snap.Row(id)
-				if !ok {
-					return nil, false
-				}
+			oldDst, _ := oldSnaps[s].Snapshot(dst)
+			newDst, _ := newSnaps[s].Snapshot(dst)
+			keyChanges(ds[dst], oldDst, newDst, keyPos, func(snap *relation.Snapshot, r int, arrived bool) {
 				buf = cind.AppendRowKey(buf[:0], snap, r, keyPos)
-				return buf, true
-			}
-			for _, id := range d.Inserted {
-				if k, ok := rowKey(newDst, id); ok {
-					idx.Add(k)
+				if arrived {
+					idx.Add(buf)
+				} else {
+					idx.Remove(buf)
 				}
-			}
-			for _, id := range d.Deleted {
-				if k, ok := rowKey(oldDst, id); ok {
-					idx.Remove(k)
-				}
-			}
-			for id := range d.Updated {
-				if !d.Touches(id, keyPos) {
-					continue
-				}
-				if k, ok := rowKey(oldDst, id); ok {
-					idx.Remove(k)
-				}
-				if k, ok := rowKey(newDst, id); ok {
-					idx.Add(k)
-				}
-			}
+			})
 		}
 	}
 }
 
-// fullResync rebuilds everything — per-shard snapshots, replicated key
-// indexes, the violation set — and diffs against the stored set, so the
-// gained/cleared contract holds on the fallback path too.
-func (m *ShardedDBMonitor) fullResync() (gained, cleared []Violation) {
-	m.fullSyncs++
-	m.snaps = m.sdb.Snapshots()
-	m.tkeys = buildTargetKeys(m.snaps, m.cs)
-	fresh := m.engine.shardedEvalAll(m.snaps, m.cs, m.tkeys)
-	freshSet := make(map[Violation]struct{}, len(fresh))
-	for _, v := range fresh {
-		freshSet[v] = struct{}{}
-		if _, had := m.current[v]; !had {
-			gained = append(gained, v)
-		}
-	}
-	for v := range m.current {
-		if _, still := freshSet[v]; !still {
-			cleared = append(cleared, v)
-		}
-	}
-	m.current = freshSet
-	SortViolations(gained, m.sigma)
-	SortViolations(cleared, m.sigma)
-	return gained, cleared
-}
-
-// Violations returns the current violation set in the canonical mixed
-// order — byte-identical to DetectBatch of the equivalent unsharded
-// database.
-func (m *ShardedDBMonitor) Violations() []Violation {
-	if len(m.current) == 0 {
-		return nil
-	}
-	out := make([]Violation, 0, len(m.current))
-	for v := range m.current {
-		out = append(out, v)
-	}
-	SortViolations(out, m.sigma)
-	return out
-}
-
-// Len returns the size of the current violation set.
-func (m *ShardedDBMonitor) Len() int { return len(m.current) }
+// ShardCounts returns the number of current violations per shard — each
+// violation counts toward the shard holding its primary tuple — as a
+// fresh slice indexed by shard.
+func (m *ShardedDBMonitor) ShardCounts() []int { return append([]int(nil), m.counts...) }
 
 // ShardSnapshots returns the maintained per-shard snapshots (current as
 // of the last Apply/Sync). The slice is shared; callers must not modify
@@ -783,10 +583,3 @@ func (m *ShardedDBMonitor) ShardSnapshots() []*relation.DBSnapshot { return m.sn
 
 // Sharded returns the watched sharded database.
 func (m *ShardedDBMonitor) Sharded() *relation.ShardedDB { return m.sdb }
-
-// Engine returns the monitor's engine (always on the columnar path).
-func (m *ShardedDBMonitor) Engine() *Engine { return m.engine }
-
-// FullSyncs reports how many times the monitor fell back to a full
-// sharded re-detection.
-func (m *ShardedDBMonitor) FullSyncs() int { return m.fullSyncs }

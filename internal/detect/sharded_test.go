@@ -7,6 +7,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cfd"
+	"repro/internal/cind"
+	"repro/internal/ecfd"
 	"repro/internal/gen"
 	"repro/internal/relation"
 )
@@ -143,6 +146,37 @@ func TestDetectBatchShardedPlacementIndependence(t *testing.T) {
 	}
 }
 
+// primaryTID is the violation's primary-relation tuple: the tuple whose
+// shard a violation is attributed to.
+func primaryTID(v Violation) relation.TID {
+	switch v := v.(type) {
+	case cfd.Violation:
+		return v.T1
+	case cind.Violation:
+		return v.TID
+	case ecfd.Violation:
+		return v.T1
+	}
+	panic(fmt.Sprintf("unknown violation type %T", v))
+}
+
+// shardRecount counts the violations per shard independently of the
+// monitor, by the shard snapshot holding each violation's primary tuple.
+func shardRecount(snaps []*relation.DBSnapshot, vs []Violation) []int {
+	counts := make([]int, len(snaps))
+	for _, v := range vs {
+		for s, ds := range snaps {
+			if snap, ok := ds.Snapshot(RelationOf(v)); ok {
+				if _, ok := snap.Row(primaryTID(v)); ok {
+					counts[s]++
+					break
+				}
+			}
+		}
+	}
+	return counts
+}
+
 // shardedOracleRounds drives the same random multi-relation batches
 // through an unsharded DBMonitor (the shadow) and a ShardedDBMonitor
 // over an identical partitioned copy, asserting after every batch that
@@ -196,6 +230,9 @@ func shardedOracleRounds(t *testing.T, seed int64, shards, orders, rounds, maxBa
 		if sdb.Size() != db.Size() {
 			t.Fatalf("seed %d round %d: sharded size %d, shadow %d", seed, round, sdb.Size(), db.Size())
 		}
+		if got, want := m.ShardCounts(), shardRecount(m.ShardSnapshots(), m.Violations()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d round %d: ShardCounts %v, recount by primary tuple %v", seed, round, got, want)
+		}
 		if round%5 == 0 {
 			// Cross-checks against the stateless paths: the one-shot
 			// sharded detection, and the gather path /check runs on.
@@ -203,9 +240,9 @@ func shardedOracleRounds(t *testing.T, seed int64, shards, orders, rounds, maxBa
 				t.Fatalf("seed %d round %d: DetectBatchSharded diverges from monitor (err %v)", seed, round, err)
 			}
 			gathered, err := relation.GatherSnapshots(m.ShardSnapshots())
-				if err != nil {
-					t.Fatalf("seed %d round %d: GatherSnapshots: %v", seed, round, err)
-				}
+			if err != nil {
+				t.Fatalf("seed %d round %d: GatherSnapshots: %v", seed, round, err)
+			}
 			if got := New(1).DetectBatch(gathered, cs); !reflect.DeepEqual(got, m.Violations()) {
 				t.Fatalf("seed %d round %d: gathered snapshot detection diverges", seed, round)
 			}
@@ -249,6 +286,45 @@ func TestShardedDBMonitorForcedCollisions(t *testing.T) {
 // sharded full-resync path; the oracle must hold unchanged.
 func TestShardedDBMonitorChangelogFallback(t *testing.T) {
 	shardedOracleRounds(t, 61, 4, 150, 12, 25, 8)
+}
+
+// TestShardedDBMonitorRelationReplaced: re-registering a relation the
+// batch reads (ShardedDB.AddInstance over an existing name) replaces
+// its instance on every shard, which no changelog can bridge; the next
+// Sync takes the full-resync path — exactly once, with an exact diff
+// and exact per-shard counts. Every tuple hashes to one shard, so the
+// retitled replacement lands exactly where the original did and each
+// shard's changelog version is unchanged: only the instance identity
+// gives the swap away.
+func TestShardedDBMonitorRelationReplaced(t *testing.T) {
+	defer relation.SetShardHasherForTest(func(string, []byte) uint64 { return 7 })()
+	db := gen.Orders(gen.OrdersConfig{Books: 20, CDs: 15, Orders: 150, Seed: 23, ViolationRate: 0.1})
+	cs := shardableSigma()
+	m, err := NewShardedDBMonitor(New(2), shardOrders(t, db, 4, cs), cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := m.Violations()
+	book := replacedBook(t, db)
+	db.Add(book)
+	if err := m.Sharded().AddInstance(book); err != nil {
+		t.Fatal(err)
+	}
+	gained, cleared := m.Sync()
+	got := m.Violations()
+	if want := New(1).DetectBatch(db, cs); !reflect.DeepEqual(got, want) {
+		t.Fatalf("monitor holds %d violations after the replacement, DetectBatch %d", len(got), len(want))
+	}
+	if m.FullSyncs() != 1 {
+		t.Fatalf("FullSyncs = %d, want 1", m.FullSyncs())
+	}
+	if len(gained)+len(cleared) == 0 {
+		t.Fatal("replacing the book relation should change the violation set")
+	}
+	checkDiff(t, "relation replaced", prev, gained, cleared, got)
+	if got, want := m.ShardCounts(), shardRecount(m.ShardSnapshots(), got); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ShardCounts %v, recount %v", got, want)
+	}
 }
 
 // TestShardedCrossShardMoves pins the move protocol deterministically:
@@ -295,6 +371,9 @@ func TestShardedCrossShardMoves(t *testing.T) {
 		}
 		if !reflect.DeepEqual(m.Violations(), shadow.Violations()) {
 			t.Fatalf("%s: violation sets diverge:\nsharded %v\nshadow  %v", step, m.Violations(), shadow.Violations())
+		}
+		if got, want := m.ShardCounts(), shardRecount(m.ShardSnapshots(), m.Violations()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: ShardCounts %v, recount by primary tuple %v", step, got, want)
 		}
 	}
 

@@ -10,7 +10,7 @@ import (
 // (version, op, tid, pos) entry to a bounded in-memory log; derived
 // structures built at version v can later catch up to version v' by
 // replaying ChangesSince(v) instead of rebuilding from scratch
-// (Snapshot.Apply, CodeIndex maintenance, the detect.Monitor). The log
+// (Snapshot.Apply, CodeIndex maintenance, the detect monitors). The log
 // is bounded: a cache that has fallen behind a truncated log gets
 // (nil, false) from ChangesSince and must rebuild in full.
 

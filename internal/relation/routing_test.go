@@ -185,9 +185,9 @@ func TestRoutingMatchesFlatApplication(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	step(r.Update("r", 2, 1, Str("v2b")))  // fast path
-	step(r.Update("r", 2, 0, Str("k2b")))  // possible move, composed
-	step(r.Update("r", 5, 1, Str("v5b")))  // fast path only
+	step(r.Update("r", 2, 1, Str("v2b"))) // fast path
+	step(r.Update("r", 2, 0, Str("k2b"))) // possible move, composed
+	step(r.Update("r", 5, 1, Str("v5b"))) // fast path only
 	r.Delete("r", 7)
 	id, err := r.Insert("r", Tuple{Str("k8"), Str("v8")})
 	step(err)

@@ -227,8 +227,9 @@ func (s *Snapshot) Stale() bool { return s.source.Version() != s.version }
 //     splice-not-rebuild strategy (see CodeIndex apply).
 //
 // The old snapshot remains fully usable (its columns are never written;
-// shared dictionaries only grow), which is what lets the detect.Monitor
-// diff detection results between the pre- and post-batch snapshots.
+// shared dictionaries only grow), which is what lets the detect
+// monitors diff detection results between the pre- and post-batch
+// snapshots.
 //
 // Apply must not run concurrently with mutations of the source
 // instance (the usual single-writer contract); concurrent readers of
@@ -400,7 +401,7 @@ func (s *Snapshot) Apply(entries []ChangeEntry) *Snapshot {
 
 	// Migrate the cached group indexes: every index the old snapshot
 	// carried is spliced onto the new one, so steady-state detection
-	// (the Monitor, or SnapshotOf-backed engines) never rebuilds an
+	// (the monitors, or SnapshotOf-backed engines) never rebuilds an
 	// index it already had.
 	s.cxMu.Lock()
 	oldCache := make(map[string]*CodeIndex, len(s.cxCache))

@@ -76,7 +76,7 @@ func TestBuildCFDHypergraphExhaustivePairs(t *testing.T) {
 	}
 }
 
-// BuildCFDHypergraphOn over a detect.Monitor's maintained snapshot must
+// BuildCFDHypergraphOn over a detect.DBMonitor's maintained snapshot must
 // agree with the from-scratch path, across a mutation that the monitor
 // absorbs incrementally.
 func TestBuildCFDHypergraphOnMonitorSnapshot(t *testing.T) {
@@ -86,10 +86,13 @@ func TestBuildCFDHypergraphOnMonitorSnapshot(t *testing.T) {
 		cfd.MustFD(s, []string{"CC", "zip"}, []string{"street"}),
 		cfd.MustFD(s, []string{"CC", "AC"}, []string{"city"}),
 	}
-	m := detect.NewMonitor(nil, in, sigma)
+	db := relation.NewDatabase()
+	db.Add(in)
+	m := detect.NewDBMonitor(nil, db, detect.WrapCFDs(sigma))
 	check := func() {
 		t.Helper()
-		got := BuildCFDHypergraphOn(m.Snapshot(), sigma)
+		snap, _ := m.Snapshot().Snapshot(s.Name())
+		got := BuildCFDHypergraphOn(snap, sigma)
 		want := BuildCFDHypergraph(in, sigma)
 		if len(got.Vertices) != len(want.Vertices) || len(got.Edges) != len(want.Edges) {
 			t.Fatalf("hypergraph on monitor snapshot has %d vertices / %d edges, fresh build %d / %d",
@@ -99,7 +102,7 @@ func TestBuildCFDHypergraphOnMonitorSnapshot(t *testing.T) {
 	check()
 	id := in.IDs()[0]
 	tup, _ := in.Tuple(id)
-	if _, _, err := m.Apply([]detect.Op{detect.Update(id, 4, relation.Str(tup[4].StrVal()+"-x"))}); err != nil {
+	if _, _, err := m.Apply([]detect.DBOp{detect.UpdateIn(s.Name(), id, 4, relation.Str(tup[4].StrVal()+"-x"))}); err != nil {
 		t.Fatal(err)
 	}
 	check()

@@ -63,7 +63,8 @@ func BuildHypergraph(db *relation.Database, dcs []denial.DC) (*Hypergraph, error
 // instance w.r.t. a set of CFDs over the instance's current snapshot
 // (relation.SnapshotOf — cached, and caught up via the changelog after
 // mutations rather than re-frozen). Callers that already hold a
-// snapshot or a detect.Monitor should use BuildCFDHypergraphOn with it.
+// snapshot (e.g. a detect.DBMonitor's) should use BuildCFDHypergraphOn
+// with it.
 func BuildCFDHypergraph(in *relation.Instance, sigma []*cfd.CFD) *Hypergraph {
 	return BuildCFDHypergraphOn(relation.SnapshotOf(in), sigma)
 }
@@ -78,7 +79,7 @@ func BuildCFDHypergraph(in *relation.Instance, sigma []*cfd.CFD) *Hypergraph {
 // so conflicts between non-representative group members are present and
 // every enumerated X-repair really satisfies Σ. Detection shares the
 // snapshot's cached group indexes, so iterating repair loops that keep
-// the snapshot warm (e.g. through a detect.Monitor) pay only for the
+// the snapshot warm (e.g. through a detect.DBMonitor) pay only for the
 // violation scan.
 func BuildCFDHypergraphOn(snap *relation.Snapshot, sigma []*cfd.CFD) *Hypergraph {
 	name := snap.Schema().Name()

@@ -17,7 +17,6 @@ import (
 	"repro/internal/ecfd"
 	"repro/internal/obs"
 	"repro/internal/oplog"
-	"repro/internal/relation"
 )
 
 // Handler is the HTTP/JSON front end cmd/dqserve mounts:
@@ -193,20 +192,6 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// primaryTID extracts the violation's primary-relation tuple — the TID
-// shard placement is accounted by.
-func primaryTID(v detect.Violation) relation.TID {
-	switch v := v.(type) {
-	case cfd.Violation:
-		return v.T1
-	case cind.Violation:
-		return v.TID
-	case ecfd.Violation:
-		return v.T1
-	}
-	return 0
 }
 
 // ViolationsText renders a violation list as the canonical plain-text

@@ -233,12 +233,6 @@ type Service struct {
 	shardedDB    *relation.ShardedDB
 	shardCh      []chan shardWork
 	shardPending []atomic.Int64
-	// Per-shard violation attribution, maintained incrementally from
-	// each commit's gained/cleared diff (O(|Δ|), not O(V)) and rebuilt
-	// from scratch only when a commit moved tuples across shards.
-	// Sequencer-only: both read the live tuple directory.
-	shardViol []int
-	violShard map[detect.Violation]int
 
 	queue chan request
 	state atomic.Pointer[State]
@@ -399,7 +393,6 @@ func New(cfg Config) (*Service, error) {
 			s.shardCh[i] = make(chan shardWork, 1)
 			go s.shardWriter(i)
 		}
-		s.rebuildShardViol(m.Violations())
 	} else {
 		m := detect.NewDBMonitor(cfg.Engine, db, cfg.Constraints)
 		s.engine = m.Engine()
@@ -418,7 +411,7 @@ func New(cfg Config) (*Service, error) {
 	if s.smonitor != nil {
 		seed.Shards = s.smonitor.ShardSnapshots()
 		vs = s.smonitor.Violations()
-		seed.ShardViolations = append([]int(nil), s.shardViol...)
+		seed.ShardViolations = s.smonitor.ShardCounts()
 		seed.FullSyncs = s.smonitor.FullSyncs()
 	} else {
 		seed.Snapshot = s.monitor.Snapshot()
@@ -498,40 +491,6 @@ func (s *Service) applyShardWork(shard int, w shardWork) {
 // ShardPanics reports how many shard-writer panics have been recovered
 // since New (racy, informational).
 func (s *Service) ShardPanics() uint64 { return s.shardPanics.Load() }
-
-// rebuildShardViol recomputes the per-shard violation attribution from
-// scratch: each violation counts toward the shard holding its primary
-// tuple. Sequencer-only: it reads the live tuple directory, which the
-// route phase mutates.
-func (s *Service) rebuildShardViol(vs []detect.Violation) {
-	s.shardViol = make([]int, s.shardedDB.Shards())
-	s.violShard = make(map[detect.Violation]int, len(vs))
-	for _, v := range vs {
-		if shard, ok := s.shardedDB.ShardOfTID(detect.RelationOf(v), primaryTID(v)); ok {
-			s.shardViol[shard]++
-			s.violShard[v] = shard
-		}
-	}
-}
-
-// applyShardViol folds one commit's diff into the per-shard violation
-// attribution. Only valid when the commit moved no tuple across shards
-// — a move can re-home a persisting violation the diff never mentions,
-// which is commitSharded's cue to rebuild instead. Sequencer-only.
-func (s *Service) applyShardViol(gained, cleared []detect.Violation) {
-	for _, v := range cleared {
-		if shard, ok := s.violShard[v]; ok {
-			s.shardViol[shard]--
-			delete(s.violShard, v)
-		}
-	}
-	for _, v := range gained {
-		if shard, ok := s.shardedDB.ShardOfTID(detect.RelationOf(v), primaryTID(v)); ok {
-			s.shardViol[shard]++
-			s.violShard[v] = shard
-		}
-	}
-}
 
 // run is the single-writer ingest loop: the only goroutine that ever
 // calls monitor.Apply or mutates the database.
@@ -719,7 +678,7 @@ func (s *Service) enqueueCommit(reqs []request, ops []detect.DBOp, gained, clear
 	}
 	if s.smonitor != nil {
 		st.Shards = s.smonitor.ShardSnapshots()
-		st.ShardViolations = append([]int(nil), s.shardViol...)
+		st.ShardViolations = s.smonitor.ShardCounts()
 		st.FullSyncs = s.smonitor.FullSyncs()
 	} else {
 		st.Snapshot = s.monitor.Snapshot()
@@ -918,8 +877,8 @@ func (s *Service) commitSharded(ops []detect.DBOp) (gained, cleared []detect.Vio
 }
 
 // applyRouted scatters an already-routed batch to the shard writers,
-// waits out the barrier, runs the merged incremental sync and
-// maintains the per-shard violation attribution. Factored out of
+// waits out the barrier and runs the merged incremental sync (which
+// also maintains the per-shard violation counts). Factored out of
 // commitSharded so the durable path can route before the WAL append
 // and apply after it.
 func (s *Service) applyRouted(r *relation.Routing, err error) (gained, cleared []detect.Violation, _ error) {
@@ -956,11 +915,6 @@ func (s *Service) applyRouted(r *relation.Routing, err error) (gained, cleared [
 	dt := s.met.now()
 	gained, cleared = s.smonitor.Sync()
 	s.met.observeStage(stageDetect, dt)
-	if r.Moves() > 0 || aerr != nil {
-		s.rebuildShardViol(s.smonitor.Violations())
-	} else {
-		s.applyShardViol(gained, cleared)
-	}
 	return gained, cleared, err
 }
 

@@ -80,6 +80,8 @@ func TestServiceShardedOracle(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			fresh := 0
 			ctx := context.Background()
+			placement := orderPlacement(svc.State().Shards)
+			moves := 0
 			for round := 0; round < 12; round++ {
 				batch := make([]detect.DBOp, 1+r.Intn(10))
 				dead := make(map[string]map[relation.TID]bool)
@@ -114,13 +116,18 @@ func TestServiceShardedOracle(t *testing.T) {
 				if st.Snapshot != nil || len(st.Shards) != shards {
 					t.Fatalf("round %d: sharded State should publish %d shard snapshots and no merged one", round, shards)
 				}
-				sum := 0
-				for _, n := range st.ShardViolations {
-					sum += n
+				if recount := shardRecount(st.Shards, want); !reflect.DeepEqual(st.ShardViolations, recount) {
+					t.Fatalf("round %d: ShardViolations %v, recount by primary tuple %v", round, st.ShardViolations, recount)
 				}
-				if sum != st.NumViolations() {
-					t.Fatalf("round %d: per-shard violation counts sum to %d, total is %d", round, sum, st.NumViolations())
+				// The ops retitle orders and rekey books, so tuples move
+				// across shards — the case the per-shard counts must follow.
+				place := orderPlacement(st.Shards)
+				for id, shard := range place {
+					if was, ok := placement[id]; ok && was != shard {
+						moves++
+					}
 				}
+				placement = place
 				// The cross-partition read path: /check's gather must agree
 				// with the shadow on the monitored rules.
 				_, ok, err := svc.Check(cs)
@@ -131,8 +138,55 @@ func TestServiceShardedOracle(t *testing.T) {
 					t.Fatalf("round %d: sharded Check = %v with %d violations", round, ok, len(want))
 				}
 			}
+			if moves == 0 {
+				t.Fatal("no order tuple moved across shards; the per-shard counts went untested on moves")
+			}
 		})
 	}
+}
+
+// primaryTID is the violation's primary-relation tuple: the tuple whose
+// shard a violation is attributed to.
+func primaryTID(v detect.Violation) relation.TID {
+	switch v := v.(type) {
+	case cfd.Violation:
+		return v.T1
+	case cind.Violation:
+		return v.TID
+	case ecfd.Violation:
+		return v.T1
+	}
+	panic(fmt.Sprintf("unknown violation type %T", v))
+}
+
+// shardRecount counts the violations per shard independently of the
+// service, by the published shard snapshot holding each violation's
+// primary tuple.
+func shardRecount(shards []*relation.DBSnapshot, vs []detect.Violation) []int {
+	counts := make([]int, len(shards))
+	for _, v := range vs {
+		for s, ds := range shards {
+			if snap, ok := ds.Snapshot(detect.RelationOf(v)); ok {
+				if _, ok := snap.Row(primaryTID(v)); ok {
+					counts[s]++
+					break
+				}
+			}
+		}
+	}
+	return counts
+}
+
+// orderPlacement maps every order tuple to the shard holding it.
+func orderPlacement(shards []*relation.DBSnapshot) map[relation.TID]int {
+	out := make(map[relation.TID]int)
+	for s, ds := range shards {
+		snap, _ := ds.Snapshot("order")
+		for r := 0; r < snap.Len(); r++ {
+			out[snap.TID(r)] = s
+		}
+	}
+	return out
 }
 
 // TestServiceShardedRejectsUnshardable: a rule set without a common

@@ -46,11 +46,11 @@ func sealedSegment(f *testing.F, n int) []byte {
 func FuzzReplay(f *testing.F) {
 	seg := sealedSegment(f, 3)
 	f.Add(seg)
-	f.Add(seg[:len(seg)-1])     // torn mid-frame
-	f.Add(seg[:len(magic)])     // header only
-	f.Add(seg[:len(magic)-3])   // short magic
-	f.Add([]byte{})             // empty file
-	f.Add([]byte("NOTAWAL!!"))  // bad magic
+	f.Add(seg[:len(seg)-1])    // torn mid-frame
+	f.Add(seg[:len(magic)])    // header only
+	f.Add(seg[:len(magic)-3])  // short magic
+	f.Add([]byte{})            // empty file
+	f.Add([]byte("NOTAWAL!!")) // bad magic
 	flip := append([]byte(nil), seg...)
 	flip[len(flip)-1] ^= 0xff
 	f.Add(flip) // bit-flipped CRC in the last frame
