@@ -1,124 +1,70 @@
 package cfd
 
 import (
-	"slices"
-
 	"repro/internal/relation"
 )
 
 // Snapshot-backed violation detection: the columnar fast path of the
-// detection engine. These entry points mirror the *WithIndex primitives
-// exactly — same violations, same order — but run over a
-// relation.Snapshot and relation.CodeIndex.
+// detection engine. One body, detectSnap, runs over a relation.Scope —
+// every row for the full entry points, the rows of a touched TID list
+// for DetectTouchedWithSnapshot — and mirrors the *WithIndex primitives
+// exactly: same violations, same order.
 //
-// The columnar representation is applied where it pays: grouping and LHS
-// pattern matching run entirely on dictionary codes (pattern constants
-// compile to codes once per tableau row, matching is an integer compare
-// against a hoisted column, and a constant missing from its column
-// prunes the whole pattern row), and the single-tuple scan is a linear
-// walk of the dense rows in ascending TID order. RHS agreement checks
-// within a group read the frozen tuple array directly (an array access,
-// not a map lookup): LHS groups are overwhelmingly small, so interning a
-// high-cardinality RHS column for a handful of comparisons would cost
-// more than the Value.Equal calls it replaces.
+// Grouping and LHS pattern matching run entirely on dictionary codes:
+// pattern constants compile to codes once per tableau row
+// (relation.CompileSet, a constant being the singleton ∈ set), matching
+// is an integer compare against a hoisted column, and a constant
+// missing from its column prunes the whole pattern row. Single-tuple
+// checks walk the scope's rows; pair checks walk the LHS groups the
+// scope reaches. RHS agreement checks within a group read the frozen
+// tuple array directly: LHS groups are overwhelmingly small, so
+// interning a high-cardinality RHS column for a handful of comparisons
+// would cost more than the Value.Equal calls it replaces.
 //
 // The string-keyed path (Detect, DetectWithIndex, ...) remains the
-// compatibility/oracle path; randomized tests in internal/detect assert
-// byte-identical output between the two.
-
-// codedCell is a pattern cell compiled against an attribute dictionary:
-// either the wildcard, or a constant's code, or a constant that never
-// occurs in the column (ok == false), which matches no tuple.
-type codedCell struct {
-	wild bool
-	ok   bool
-	code uint32
-}
-
-// compileCells compiles pattern cells against the dictionaries of their
-// attribute positions. allConst reports whether every constant cell was
-// found in its dictionary; when false for an LHS, no tuple can match the
-// pattern row at all.
-func compileCells(snap *relation.Snapshot, pos []int, cells []Cell) (out []codedCell, allConst bool) {
-	out = make([]codedCell, len(cells))
-	allConst = true
-	for j, cell := range cells {
-		if cell.IsWildcard() {
-			out[j] = codedCell{wild: true}
-			continue
-		}
-		v := cell.Value()
-		if v.Kind() == relation.KindFloat && v.FloatVal() != v.FloatVal() {
-			// A NaN constant Equals nothing (Cell.Matches is Value.Equal),
-			// so it matches no tuple — even though the dictionary folds
-			// all NaN *data* values onto one shared code.
-			out[j] = codedCell{}
-			allConst = false
-			continue
-		}
-		code, ok := snap.Dict(pos[j]).Code(v)
-		out[j] = codedCell{ok: ok, code: code}
-		if !ok {
-			allConst = false
-		}
-	}
-	return out, allConst
-}
+// compatibility/oracle path; randomized tests here and in
+// internal/detect assert byte-identical output between the two.
 
 // SatisfiesWithSnapshot is SatisfiesWithIndex on the columnar path.
 func SatisfiesWithSnapshot(snap *relation.Snapshot, c *CFD, cx *relation.CodeIndex) bool {
-	return len(detectSnap(snap, c, lhsCodeIndex(snap, c, cx), modeFirstOnly)) == 0
+	return len(detectSnap(snap, c, cx, relation.FullScope(snap), modeFirstOnly)) == 0
 }
 
 // DetectWithSnapshot is DetectWithIndex on the columnar path: all
 // violations of the CFD in the snapshotted instance, sorted by
 // (Row, T1, T2, Attr), pair violations against the group representative.
 func DetectWithSnapshot(snap *relation.Snapshot, c *CFD, cx *relation.CodeIndex) []Violation {
-	return detectSnap(snap, c, lhsCodeIndex(snap, c, cx), modeRepresentative)
+	return detectSnap(snap, c, cx, relation.FullScope(snap), modeRepresentative)
 }
 
 // DetectExhaustiveWithSnapshot is DetectExhaustiveWithIndex on the
 // columnar path: every pair of group members disagreeing on an RHS
 // attribute, pairs oriented T1 < T2.
 func DetectExhaustiveWithSnapshot(snap *relation.Snapshot, c *CFD, cx *relation.CodeIndex) []Violation {
-	return detectSnap(snap, c, lhsCodeIndex(snap, c, cx), modeExhaustive)
+	return detectSnap(snap, c, cx, relation.FullScope(snap), modeExhaustive)
 }
 
-// lhsCodeIndex validates that cx is an index over snap on c's LHS
-// positions, rebuilding it when it is not (or is nil).
-func lhsCodeIndex(snap *relation.Snapshot, c *CFD, cx *relation.CodeIndex) *relation.CodeIndex {
-	if cx == nil || cx.Snapshot() != snap || !slices.Equal(cx.Positions(), c.lhs) {
-		return relation.BuildCodeIndex(snap, c.lhs)
-	}
-	return cx
+// DetectTouchedWithSnapshot is DetectTouchedWithIndex on the columnar
+// path: violations whose witnesses involve at least one touched tuple.
+// Touched TIDs missing from the snapshot (deleted, or inserted after the
+// snapshot was built) are skipped, like TIDs missing from the instance
+// on the legacy path.
+func DetectTouchedWithSnapshot(snap *relation.Snapshot, c *CFD, cx *relation.CodeIndex, touched []relation.TID) []Violation {
+	return detectSnap(snap, c, cx, relation.TouchedScope(snap, touched), modeRepresentative)
 }
 
-// detectSnap implements violation detection over a snapshot and a
-// prebuilt LHS code index; it is the columnar port of detect.
-func detectSnap(snap *relation.Snapshot, c *CFD, cx *relation.CodeIndex, mode detectMode) []Violation {
+// detectSnap is the one columnar CFD detection body, the port of detect
+// over the rows of sc. cx is validated against the LHS positions and
+// rebuilt when it does not fit (or is nil).
+func detectSnap(snap *relation.Snapshot, c *CFD, cx *relation.CodeIndex, sc relation.Scope, mode detectMode) []Violation {
+	cx = relation.IndexFor(snap, c.lhs, cx)
 	var out []Violation
-	n := snap.Len()
-	// Hoist the LHS code columns once per CFD: pattern matching below is
-	// then a pure array walk with integer compares.
-	lhsCols := make([][]uint32, len(c.lhs))
-	for j, p := range c.lhs {
-		lhsCols[j] = snap.Col(p)
-	}
-
 	for rowIdx, row := range c.tableau {
-		lhs, lhsOK := compileCells(snap, c.lhs, row.LHS)
-		if !lhsOK {
+		lhs := relation.NewPattern(snap, c.lhs, compileCells(snap, c.lhs, row.LHS))
+		if lhs.Dead() {
 			// Some LHS constant never occurs in its column: t[X] ≍ tp[X]
 			// holds for no tuple, so this pattern row yields nothing.
 			continue
-		}
-		matchLHS := func(r int) bool {
-			for j := range lhs {
-				if !lhs[j].wild && lhsCols[j][r] != lhs[j].code {
-					return false
-				}
-			}
-			return true
 		}
 		// Single-tuple violations: constant RHS cells must bind.
 		hasRHSConst := false
@@ -129,8 +75,9 @@ func detectSnap(snap *relation.Snapshot, c *CFD, cx *relation.CodeIndex, mode de
 			}
 		}
 		if hasRHSConst {
-			for r := 0; r < n; r++ {
-				if !matchLHS(r) {
+			for i := 0; i < sc.Len(); i++ {
+				r := sc.Row(i)
+				if !lhs.Match(r) {
 					continue
 				}
 				t := snap.TupleAt(r)
@@ -147,9 +94,9 @@ func detectSnap(snap *relation.Snapshot, c *CFD, cx *relation.CodeIndex, mode de
 		}
 		// Pair violations: within each LHS-equal group matching the
 		// pattern, all tuples must agree on every RHS attribute.
-		cx.GroupsWhile(2, func(rows []int32) bool {
+		sc.GroupsWhile(cx, 2, func(rows []int32) bool {
 			rep := int(rows[0])
-			if !matchLHS(rep) {
+			if !lhs.Match(rep) {
 				return true // the whole group shares the LHS, so one check suffices
 			}
 			if mode == modeExhaustive {
@@ -191,90 +138,15 @@ func detectSnap(snap *relation.Snapshot, c *CFD, cx *relation.CodeIndex, mode de
 	return out
 }
 
-// DetectTouchedWithSnapshot is DetectTouchedWithIndex on the columnar
-// path: violations whose witnesses involve at least one touched tuple.
-// Touched TIDs missing from the snapshot (deleted, or inserted after the
-// snapshot was built) are skipped, like TIDs missing from the instance
-// on the legacy path.
-func DetectTouchedWithSnapshot(snap *relation.Snapshot, c *CFD, cx *relation.CodeIndex, touched []relation.TID) []Violation {
-	cx = lhsCodeIndex(snap, c, cx)
-	var out []Violation
-	lhsCols := make([][]uint32, len(c.lhs))
-	for j, p := range c.lhs {
-		lhsCols[j] = snap.Col(p)
-	}
-
-	for rowIdx, row := range c.tableau {
-		lhs, lhsOK := compileCells(snap, c.lhs, row.LHS)
-		if !lhsOK {
-			continue
-		}
-		matchLHS := func(r int) bool {
-			for j := range lhs {
-				if !lhs[j].wild && lhsCols[j][r] != lhs[j].code {
-					return false
-				}
-			}
-			return true
-		}
-		// Single-tuple checks on the touched tuples only.
-		hasRHSConst := false
-		for _, cell := range row.RHS {
-			if !cell.IsWildcard() {
-				hasRHSConst = true
-				break
-			}
-		}
-		if hasRHSConst {
-			for _, id := range touched {
-				r, ok := snap.Row(id)
-				if !ok || !matchLHS(r) {
-					continue
-				}
-				t := snap.TupleAt(r)
-				for j, p := range c.rhs {
-					if !row.RHS[j].Matches(t[p]) {
-						out = append(out, Violation{CFD: c, Row: rowIdx, Kind: SingleTuple, T1: id, T2: id, Attr: p})
-					}
-				}
-			}
-		}
-		// Pair checks on the groups of the touched tuples, each group once.
-		var seen map[int32]bool
-		for _, id := range touched {
-			r, ok := snap.Row(id)
-			if !ok {
-				continue
-			}
-			gi := cx.GroupOrdinal(r)
-			if seen[gi] {
-				continue
-			}
-			if seen == nil {
-				seen = make(map[int32]bool, len(touched))
-			}
-			seen[gi] = true
-			rows := cx.GroupOf(r)
-			if len(rows) < 2 {
-				continue
-			}
-			rep := int(rows[0])
-			if !matchLHS(rep) {
-				continue
-			}
-			trep := snap.TupleAt(rep)
-			repID := snap.TID(rep)
-			for _, gr := range rows[1:] {
-				t := snap.TupleAt(int(gr))
-				for _, p := range c.rhs {
-					if !t[p].Equal(trep[p]) {
-						out = append(out, Violation{CFD: c, Row: rowIdx, Kind: TuplePair,
-							T1: repID, T2: snap.TID(int(gr)), Attr: p})
-					}
-				}
-			}
+// compileCells compiles pattern cells against the dictionaries of their
+// attribute positions: a constant is the singleton ∈ set, a wildcard
+// the zero CodeSet.
+func compileCells(snap *relation.Snapshot, pos []int, cells []Cell) []relation.CodeSet {
+	out := make([]relation.CodeSet, len(cells))
+	for j, cell := range cells {
+		if !cell.IsWildcard() {
+			out[j] = relation.CompileSet(snap, pos[j], relation.SetIn, cell.Value())
 		}
 	}
-	sortDetectOrder(out)
 	return out
 }

@@ -1,6 +1,9 @@
 package cfd
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -66,15 +69,30 @@ func TestSnapshotDetectMatchesLegacyOnFigure1(t *testing.T) {
 // TestSnapshotDetectMissingLHSConstant covers the dictionary-miss prune:
 // an LHS constant that never occurs in the column matches no tuple, so
 // the pattern row contributes nothing on either path.
+//
+// The second input is the same miss across the numeric tower: the int
+// constant 2^53+1 is not the float 2^53 (they differ, though a float64
+// compare would equate them), so the row matches nothing there either.
 func TestSnapshotDetectMissingLHSConstant(t *testing.T) {
 	in := fig1()
-	c := MustNew(in.Schema(), []string{"CC", "zip"}, []string{"street"},
-		Row([]Cell{Const(relation.Int(999)), Any()}, []Cell{Any()}))
-	if want, got := Detect(in, c), snapDetect(in, c); !reflect.DeepEqual(got, want) {
-		t.Fatalf("missing-LHS-constant row: got %v, want %v", got, want)
-	}
-	if len(snapDetect(in, c)) != 0 {
-		t.Fatal("a pattern row matching no tuple produced violations")
+	big := fig1()
+	big.MustInsert(relation.Float(1<<53), relation.Int(131), relation.Int(1),
+		relation.Str("Ann"), relation.Str("High St"), relation.Str("NYC"), relation.Str("EH4 8LE"))
+	for _, tc := range []struct {
+		in *relation.Instance
+		c  *CFD
+	}{
+		{in, MustNew(in.Schema(), []string{"CC", "zip"}, []string{"street"},
+			Row([]Cell{Const(relation.Int(999)), Any()}, []Cell{Any()}))},
+		{big, MustNew(big.Schema(), []string{"CC"}, []string{"city"},
+			Row([]Cell{Const(relation.Int(1<<53 + 1))}, []Cell{Const(relation.Str("EDI"))}))},
+	} {
+		if want, got := Detect(tc.in, tc.c), snapDetect(tc.in, tc.c); !reflect.DeepEqual(got, want) {
+			t.Fatalf("missing-LHS-constant row: got %v, want %v", got, want)
+		}
+		if len(snapDetect(tc.in, tc.c)) != 0 {
+			t.Fatal("a pattern row matching no tuple produced violations")
+		}
 	}
 }
 
@@ -149,5 +167,99 @@ func TestLhsCodeIndexRebuilds(t *testing.T) {
 		if got := DetectWithSnapshot(snap, c, cx); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: got %v, want %v", name, got, want)
 		}
+	}
+}
+
+// kernelInstance builds a small random instance with dense LHS groups,
+// integral floats mixed into the int column (they share codes with the
+// equal ints), and deleted TIDs, so touched lists can name absent rows.
+func kernelInstance(r *rand.Rand) *relation.Instance {
+	s := relation.MustSchema("k",
+		relation.Attr("A", relation.KindInt),
+		relation.Attr("B", relation.KindInt),
+		relation.Attr("C", relation.KindString),
+	)
+	in := relation.NewInstance(s)
+	for i := 0; i < 80; i++ {
+		a := relation.Int(int64(r.Intn(4)))
+		if r.Intn(4) == 0 {
+			a = relation.Float(float64(r.Intn(4)))
+		}
+		in.MustInsert(a, relation.Int(int64(r.Intn(3))), relation.Str([]string{"x", "y", "z"}[r.Intn(3)]))
+	}
+	for i := 0; i < 10; i++ {
+		ids := in.IDs()
+		in.Delete(ids[r.Intn(len(ids))])
+	}
+	return in
+}
+
+// randomTouched draws a touched list over [0, 90): present and deleted
+// TIDs as well as TIDs never assigned.
+func randomTouched(r *rand.Rand) []relation.TID {
+	var out []relation.TID
+	for _, id := range r.Perm(90)[:r.Intn(12)] {
+		out = append(out, relation.TID(id))
+	}
+	return out
+}
+
+// TestKernelTouchedIsFilteredFull pins the contract of the one detection
+// body: over a touched scope it reports exactly the full scope's
+// violations witnessed by a touched tuple — single-tuple violations of
+// touched tuples, pair violations in LHS groups holding a touched tuple
+// — with and without forced hash collisions, across constants missing
+// from the dictionary and NaN constants.
+func TestKernelTouchedIsFilteredFull(t *testing.T) {
+	for _, collide := range []bool{false, true} {
+		t.Run(fmt.Sprintf("collide=%v", collide), func(t *testing.T) {
+			if collide {
+				defer relation.SetCodeHasherForTest(func([]uint32) uint64 { return 3 })()
+			}
+			r := rand.New(rand.NewSource(17))
+			for round := 0; round < 20; round++ {
+				in := kernelInstance(r)
+				s := in.Schema()
+				cfds := []*CFD{
+					MustFD(s, []string{"A"}, []string{"C"}),
+					MustNew(s, []string{"A", "B"}, []string{"C"},
+						Row([]Cell{Const(relation.Int(1)), Any()}, []Cell{Any()}),
+						Row([]Cell{Any(), Const(relation.Int(2))}, []Cell{Const(relation.Str("x"))}),
+						Row([]Cell{Const(relation.Int(99)), Any()}, []Cell{Any()}),
+						Row([]Cell{Const(relation.Float(math.NaN())), Any()}, []Cell{Const(relation.Str("y"))})),
+					MustNew(s, []string{"A"}, []string{"B", "C"},
+						Row([]Cell{Any()}, []Cell{Const(relation.Int(1)), Any()})),
+				}
+				snap := relation.NewSnapshot(in)
+				for ci, c := range cfds {
+					full := DetectWithSnapshot(snap, c, nil)
+					if legacy := Detect(in, c); !reflect.DeepEqual(full, legacy) {
+						t.Fatalf("round %d cfd %d: full %v, legacy %v", round, ci, full, legacy)
+					}
+					for k := 0; k < 5; k++ {
+						touched := randomTouched(r)
+						groups := map[string]bool{}
+						present := map[relation.TID]bool{}
+						for _, id := range touched {
+							if tu, ok := in.Tuple(id); ok {
+								present[id] = true
+								groups[tu.KeyOn(c.LHS())] = true
+							}
+						}
+						var want []Violation
+						for _, v := range full {
+							t1, _ := in.Tuple(v.T1)
+							if (v.Kind == SingleTuple && present[v.T1]) || (v.Kind == TuplePair && groups[t1.KeyOn(c.LHS())]) {
+								want = append(want, v)
+							}
+						}
+						got := DetectTouchedWithSnapshot(snap, c, relation.BuildCodeIndex(snap, c.LHS()), touched)
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("round %d cfd %d touched %v:\n got %v\nwant %v", round, ci, touched, got, want)
+						}
+					}
+				}
+			}
+		})
 	}
 }

@@ -7,13 +7,13 @@
 // the replica, and the changed keys are broadcast to all source
 // shards' touched lists). Keys are the exact bytes the legacy detector
 // probes with (Value.AppendKey + '\x01' per position), so the
-// key-index path reports byte-identical violations.
+// key-index path reports byte-identical violations. Evaluation is the
+// one detection body of snapshot.go over the source shard's rows, with
+// the key probe below in place of the target CodeIndex probe.
 
 package cind
 
 import (
-	"sort"
-
 	"repro/internal/relation"
 )
 
@@ -65,93 +65,39 @@ func AppendRowKey(buf []byte, snap *relation.Snapshot, row int, pos []int) []byt
 	return buf
 }
 
-// AppendTupleKey is AppendRowKey for a materialized tuple.
-func AppendTupleKey(buf []byte, t relation.Tuple, pos []int) []byte {
-	for _, p := range pos {
-		buf = append(t[p].AppendKey(buf), '\x01')
-	}
-	return buf
-}
-
-// appendProbeKey builds the probe for source row r under pattern row:
-// t[X] values then the row's Yp constants, matching the target key
-// layout of TargetKeyPos.
-func appendProbeKey(buf []byte, src *relation.Snapshot, r int, c *CIND, row PatternRow) []byte {
-	for _, p := range c.x {
-		buf = append(src.Value(r, p).AppendKey(buf), '\x01')
-	}
-	for _, v := range row.YpVals {
-		buf = append(v.AppendKey(buf), '\x01')
-	}
-	return buf
-}
-
 // DetectWithKeys returns all violations of c whose source tuple lies in
 // the given source snapshot, resolving target matches through the
 // replicated key multiset instead of a target snapshot. Output is in
 // (Row, TID) order like DetectWithSnapshot; the caller merges across
 // shards and re-sorts canonically.
 func DetectWithKeys(src *relation.Snapshot, c *CIND, keys *KeyIndex) []Violation {
-	if src == nil || src.Len() == 0 {
-		return nil
-	}
-	var out []Violation
-	buf := make([]byte, 0, 64)
-	for rowIdx, row := range c.tableau {
-		for r := 0; r < src.Len(); r++ {
-			match := true
-			for j, p := range c.xp {
-				if !src.Value(r, p).Equal(row.XpVals[j]) {
-					match = false
-					break
-				}
-			}
-			if !match {
-				continue
-			}
-			buf = appendProbeKey(buf[:0], src, r, c, row)
-			if !keys.Has(buf) {
-				out = append(out, Violation{CIND: c, Row: rowIdx, TID: src.TID(r)})
-			}
-		}
-	}
-	return out
+	return detect(src, c, relation.FullScope(src), nil, &keyProbe{src: src, c: c, keys: keys}, false)
 }
 
 // DetectTouchedWithKeys is DetectWithKeys restricted to the touched
 // source TIDs — the sharded counterpart of DetectTouchedWithSnapshot.
-// TIDs absent from the snapshot are skipped; each row's segment is
-// sorted ascending by TID.
+// TIDs absent from the snapshot are skipped.
 func DetectTouchedWithKeys(src *relation.Snapshot, c *CIND, keys *KeyIndex, touched []relation.TID) []Violation {
-	if src == nil || len(touched) == 0 {
-		return nil
+	return detect(src, c, relation.TouchedScope(src, touched), nil, &keyProbe{src: src, c: c, keys: keys}, false)
+}
+
+// keyProbe tests the replicated KeyIndex with the probe key of a source
+// row: its t[X] values, then the pattern row's Yp constants, matching
+// the target key layout of TargetKeyPos.
+type keyProbe struct {
+	src  *relation.Snapshot
+	c    *CIND
+	keys *KeyIndex
+	yp   []relation.Value
+	buf  []byte
+}
+
+func (p *keyProbe) setRow(row PatternRow) { p.yp = row.YpVals }
+
+func (p *keyProbe) hit(r int) bool {
+	p.buf = AppendRowKey(p.buf[:0], p.src, r, p.c.x)
+	for _, v := range p.yp {
+		p.buf = append(v.AppendKey(p.buf), '\x01')
 	}
-	var out []Violation
-	buf := make([]byte, 0, 64)
-	for rowIdx, row := range c.tableau {
-		rowStart := len(out)
-		for _, id := range touched {
-			r, ok := src.Row(id)
-			if !ok {
-				continue
-			}
-			match := true
-			for j, p := range c.xp {
-				if !src.Value(r, p).Equal(row.XpVals[j]) {
-					match = false
-					break
-				}
-			}
-			if !match {
-				continue
-			}
-			buf = appendProbeKey(buf[:0], src, r, c, row)
-			if !keys.Has(buf) {
-				out = append(out, Violation{CIND: c, Row: rowIdx, TID: id})
-			}
-		}
-		seg := out[rowStart:]
-		sort.Slice(seg, func(i, j int) bool { return seg[i].TID < seg[j].TID })
-	}
-	return out
+	return p.keys.Has(p.buf)
 }

@@ -1,127 +1,44 @@
 package cind
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 
 	"repro/internal/relation"
 )
 
 // Snapshot-backed CIND violation detection: the columnar fast path of
-// the detection engine. These entry points mirror the string-keyed
-// detector exactly — same violations, same (Row, TID) order — but run
-// over relation.Snapshots of the source and target relations and probe
-// the target's relation.CodeIndex by code sequence.
+// the detection engine. One body, detect, serves every entry point. It
+// runs over a relation.Scope of the source snapshot — every row, or the
+// rows of a touched TID list — and asks a probe whether a source row's
+// t[X] (with the pattern row's Yp constants) occurs in the target:
 //
-// The representation is applied where it pays:
+//   - the code probe (this file) translates source X codes to target Y
+//     codes and tests the target's relation.CodeIndex with HasCodes —
+//     no string key is ever built;
+//   - the key probe (keys.go) builds the row's legacy probe key and
+//     tests a replicated KeyIndex, for sharded evaluation, where the
+//     target spans every shard.
 //
-//   - Source tuples are grouped by X ∪ Xp (SourceGroupPos), so pattern
-//     matching and the target probe run once per group, not once per
-//     tuple — the whole group shares the embedded-IND key and every
-//     pattern attribute, so one verdict covers all members.
-//   - Pattern constants compile to dictionary codes once per tableau
-//     row; an Xp constant missing from its source column prunes the
-//     row, and a Yp constant missing from its target column fails every
-//     probe of the row without hashing anything.
-//   - Source X values translate to target Y codes through a per-column
-//     memo (source code → target code), so a value shared by many
-//     groups pays the cross-dictionary lookup once; the probe itself is
-//     CodeIndex.HasCodes over a fixed-width code sequence — no string
-//     key is ever built.
+// Output matches the string-keyed detector exactly — same violations,
+// same (Row, TID) order. Full snapshot evaluation groups source tuples
+// by X ∪ Xp (SourceGroupPos), so pattern matching and the probe run
+// once per group, not once per tuple: the whole group shares the
+// embedded-IND key and every pattern attribute, so one verdict covers
+// all members. Touched and key-index evaluation visit single rows, and
+// need no source group index. Xp constants compile to source codes
+// once per tableau row (relation.CompileSet); an Xp constant missing
+// from its source column prunes the row.
 //
 // The string-keyed path (Detect, DetectAll, ...) remains the
-// compatibility/oracle path; randomized tests in internal/detect assert
-// byte-identical output between the two.
-
-// xlat memoizes cross-dictionary code translation for the embedded IND
-// X → Y: tab[i] maps a source code of column x[i] to the target code of
-// the Equal value in column y[i] (0 = not yet translated, -1 = the
-// value never occurs in the target column, else code+1).
-type xlat struct {
-	src, dst *relation.Snapshot
-	x, y     []int
-	tab      [][]int64
-}
-
-func (t *xlat) code(i int, sc uint32) (uint32, bool) {
-	tb := t.tab[i]
-	if tb == nil {
-		tb = make([]int64, t.src.Dict(t.x[i]).Len())
-		t.tab[i] = tb
-	}
-	if int(sc) >= len(tb) {
-		// The shared dictionary grew past the memo (another snapshot is
-		// interning concurrently); translate directly.
-		c, ok := t.dst.Dict(t.y[i]).Code(t.src.Dict(t.x[i]).Value(sc))
-		return c, ok
-	}
-	switch v := tb[sc]; {
-	case v > 0:
-		return uint32(v - 1), true
-	case v < 0:
-		return 0, false
-	}
-	c, ok := t.dst.Dict(t.y[i]).Code(t.src.Dict(t.x[i]).Value(sc))
-	if ok {
-		tb[sc] = int64(c) + 1
-	} else {
-		tb[sc] = -1
-	}
-	return c, ok
-}
-
-// compiledRow is one pattern row compiled against the snapshots: Xp
-// constants as source codes (dead when a constant cannot match any
-// source tuple) and Yp constants as target codes (ypOK false when some
-// constant never occurs in its target column — every probe of the row
-// misses).
-type compiledRow struct {
-	dead    bool
-	xpCodes []uint32
-	ypOK    bool
-	ypCodes []uint32
-}
-
-// compileRow resolves row's constants against the dictionaries. Xp
-// matching is Value.Equal (a NaN constant equals nothing, even though
-// NaN data values share one code), so a NaN or dictionary-missing
-// constant kills the row; Yp matching follows the string-keyed probe,
-// under which NaN keys collide — exactly what the shared NaN code
-// reproduces — so only a dictionary miss fails it.
-func compileRow(src, dst *relation.Snapshot, c *CIND, row PatternRow) compiledRow {
-	out := compiledRow{xpCodes: make([]uint32, len(c.xp)), ypOK: dst != nil, ypCodes: make([]uint32, len(c.yp))}
-	for j, p := range c.xp {
-		v := row.XpVals[j]
-		if v.Kind() == relation.KindFloat && v.FloatVal() != v.FloatVal() {
-			out.dead = true // NaN constant: matches no tuple
-			return out
-		}
-		code, ok := src.Dict(p).Code(v)
-		if !ok {
-			out.dead = true // constant never occurs in the column
-			return out
-		}
-		out.xpCodes[j] = code
-	}
-	if dst == nil {
-		return out
-	}
-	for j, p := range c.yp {
-		code, ok := dst.Dict(p).Code(row.YpVals[j])
-		if !ok {
-			out.ypOK = false
-			return out
-		}
-		out.ypCodes[j] = code
-	}
-	return out
-}
+// compatibility/oracle path; randomized tests here and in
+// internal/detect assert byte-identical output between the two.
 
 // SatisfiesWithSnapshot is Satisfies on the columnar path. A nil dst
 // stands for a missing target relation (every probe misses), mirroring
 // the empty instance the string-keyed path substitutes.
 func SatisfiesWithSnapshot(src, dst *relation.Snapshot, c *CIND, srcIx, dstIx *relation.CodeIndex) bool {
-	return len(detectSnap(src, dst, c, srcIx, dstIx, true)) == 0
+	return len(detect(src, c, relation.FullScope(src), relation.IndexFor(src, c.SourceGroupPos(), srcIx), newCodeProbe(src, dst, c, dstIx), true)) == 0
 }
 
 // DetectWithSnapshot is Detect on the columnar path: all violations of
@@ -130,109 +47,7 @@ func SatisfiesWithSnapshot(src, dst *relation.Snapshot, c *CIND, srcIx, dstIx *r
 // src (missing source relation) is vacuously satisfied; a nil dst
 // behaves as an empty target.
 func DetectWithSnapshot(src, dst *relation.Snapshot, c *CIND, srcIx, dstIx *relation.CodeIndex) []Violation {
-	return detectSnap(src, dst, c, srcIx, dstIx, false)
-}
-
-// srcGroupIndex validates that srcIx is an index over src on the CIND's
-// source grouping positions, rebuilding it when it is not (or is nil).
-func srcGroupIndex(src *relation.Snapshot, c *CIND, srcIx *relation.CodeIndex) *relation.CodeIndex {
-	if srcIx == nil || srcIx.Snapshot() != src || !slices.Equal(srcIx.Positions(), c.SourceGroupPos()) {
-		return relation.BuildCodeIndex(src, c.SourceGroupPos())
-	}
-	return srcIx
-}
-
-// dstKeyIndex is srcGroupIndex for the target index on Y ∪ Yp.
-func dstKeyIndex(dst *relation.Snapshot, c *CIND, dstIx *relation.CodeIndex) *relation.CodeIndex {
-	if dstIx == nil || dstIx.Snapshot() != dst || !slices.Equal(dstIx.Positions(), c.TargetKeyPos()) {
-		return relation.BuildCodeIndex(dst, c.TargetKeyPos())
-	}
-	return dstIx
-}
-
-func detectSnap(src, dst *relation.Snapshot, c *CIND, srcIx, dstIx *relation.CodeIndex, firstOnly bool) []Violation {
-	if src == nil || src.Len() == 0 {
-		return nil
-	}
-	srcIx = srcGroupIndex(src, c, srcIx)
-	if dst != nil {
-		dstIx = dstKeyIndex(dst, c, dstIx)
-	}
-	// Hoist the grouped source columns: group-representative pattern
-	// checks and probe-key builds below are pure array reads.
-	gpos := srcIx.Positions()
-	gcols := make([][]uint32, len(gpos))
-	for i, p := range gpos {
-		gcols[i] = src.Col(p)
-	}
-	// xpAt[j] locates Xp position c.xp[j] inside the grouped columns.
-	xpAt := make([]int, len(c.xp))
-	for j, p := range c.xp {
-		for i, q := range gpos {
-			if q == p {
-				xpAt[j] = i
-				break
-			}
-		}
-	}
-	xAt := make([]int, len(c.x))
-	for j := range c.x {
-		xAt[j] = j // SourceGroupPos lays X out first, in order
-	}
-
-	xl := &xlat{src: src, dst: dst, x: c.x, y: c.y, tab: make([][]int64, len(c.x))}
-	probe := make([]uint32, len(c.y)+len(c.yp))
-	var out []Violation
-	for rowIdx, row := range c.tableau {
-		cr := compileRow(src, dst, c, row)
-		if cr.dead {
-			continue
-		}
-		copy(probe[len(c.y):], cr.ypCodes)
-		rowStart := len(out)
-		stop := false
-		srcIx.GroupsWhile(1, func(rows []int32) bool {
-			rep := int(rows[0])
-			for j := range c.xp {
-				if gcols[xpAt[j]][rep] != cr.xpCodes[j] {
-					return true // group fails the pattern
-				}
-			}
-			hit := false
-			if cr.ypOK {
-				hit = true
-				for i := range c.x {
-					tc, ok := xl.code(i, gcols[xAt[i]][rep])
-					if !ok {
-						hit = false // source value absent from the target column
-						break
-					}
-					probe[i] = tc
-				}
-				if hit {
-					hit = dstIx.HasCodes(probe)
-				}
-			}
-			if !hit {
-				for _, r := range rows {
-					out = append(out, Violation{CIND: c, Row: rowIdx, TID: src.TID(int(r))})
-					if firstOnly {
-						stop = true
-						return false
-					}
-				}
-			}
-			return true
-		})
-		if stop {
-			return out
-		}
-		// Groups iterate in first-appearance order; the canonical per-row
-		// order is ascending TID.
-		seg := out[rowStart:]
-		sort.Slice(seg, func(i, j int) bool { return seg[i].TID < seg[j].TID })
-	}
-	return out
+	return detect(src, c, relation.FullScope(src), relation.IndexFor(src, c.SourceGroupPos(), srcIx), newCodeProbe(src, dst, c, dstIx), false)
 }
 
 // DetectTouchedWithSnapshot returns the violations of c whose source
@@ -243,66 +58,138 @@ func detectSnap(src, dst *relation.Snapshot, c *CIND, srcIx, dstIx *relation.Cod
 // run per touched tuple, so no source group index is needed; the target
 // index is validated like DetectWithSnapshot's.
 func DetectTouchedWithSnapshot(src, dst *relation.Snapshot, c *CIND, dstIx *relation.CodeIndex, touched []relation.TID) []Violation {
-	if src == nil || len(touched) == 0 {
+	return detect(src, c, relation.TouchedScope(src, touched), nil, newCodeProbe(src, dst, c, dstIx), false)
+}
+
+// probe is the target-side test of the one detection body.
+type probe interface {
+	// setRow prepares the probes of one pattern row.
+	setRow(row PatternRow)
+	// hit reports whether source row r has a target match under the
+	// current pattern row.
+	hit(r int) bool
+}
+
+// detect is the one CIND detection body. It visits the groups of srcIx
+// the scope reaches, or each scope row alone when srcIx is nil; a unit
+// whose representative matches the pattern row's Xp and misses the
+// probe contributes a violation per member. Each pattern row's segment
+// is sorted ascending by TID.
+func detect(src *relation.Snapshot, c *CIND, sc relation.Scope, srcIx *relation.CodeIndex, pr probe, firstOnly bool) []Violation {
+	if sc.Len() == 0 {
 		return nil
 	}
-	if dst != nil {
-		dstIx = dstKeyIndex(dst, c, dstIx)
-	}
-	xpCols := make([][]uint32, len(c.xp))
-	for j, p := range c.xp {
-		xpCols[j] = src.Col(p)
-	}
-	xCols := make([][]uint32, len(c.x))
-	for i, p := range c.x {
-		xCols[i] = src.Col(p)
-	}
-	xl := &xlat{src: src, dst: dst, x: c.x, y: c.y, tab: make([][]int64, len(c.x))}
-	probe := make([]uint32, len(c.y)+len(c.yp))
+	xp := make([]relation.CodeSet, len(c.xp))
 	var out []Violation
 	for rowIdx, row := range c.tableau {
-		cr := compileRow(src, dst, c, row)
-		if cr.dead {
+		for j, p := range c.xp {
+			xp[j] = relation.CompileSet(src, p, relation.SetIn, row.XpVals[j])
+		}
+		match := relation.NewPattern(src, c.xp, xp)
+		if match.Dead() {
 			continue
 		}
-		copy(probe[len(c.y):], cr.ypCodes)
+		pr.setRow(row)
 		rowStart := len(out)
-		for _, id := range touched {
-			r, ok := src.Row(id)
-			if !ok {
-				continue
+		sc.GroupsWhile(srcIx, 1, func(rows []int32) bool {
+			rep := int(rows[0])
+			if !match.Match(rep) || pr.hit(rep) {
+				return true
 			}
-			match := true
-			for j := range c.xp {
-				if xpCols[j][r] != cr.xpCodes[j] {
-					match = false
-					break
+			for _, r := range rows {
+				out = append(out, Violation{CIND: c, Row: rowIdx, TID: src.TID(int(r))})
+				if firstOnly {
+					return false
 				}
 			}
-			if !match {
-				continue
-			}
-			hit := false
-			if cr.ypOK {
-				hit = true
-				for i := range c.x {
-					tc, ok := xl.code(i, xCols[i][r])
-					if !ok {
-						hit = false
-						break
-					}
-					probe[i] = tc
-				}
-				if hit {
-					hit = dstIx.HasCodes(probe)
-				}
-			}
-			if !hit {
-				out = append(out, Violation{CIND: c, Row: rowIdx, TID: id})
-			}
+			return true
+		})
+		if firstOnly && len(out) > 0 {
+			return out
 		}
-		seg := out[rowStart:]
-		sort.Slice(seg, func(i, j int) bool { return seg[i].TID < seg[j].TID })
+		// Groups iterate in first-appearance order, touched rows in list
+		// order; the canonical per-row order is ascending TID.
+		slices.SortFunc(out[rowStart:], func(a, b Violation) int { return cmp.Compare(a.TID, b.TID) })
 	}
 	return out
+}
+
+// codeProbe tests the target snapshot's index on Y ∪ Yp by code
+// sequence. Source X codes translate to target Y codes through a
+// per-column memo (source code → target code), so a value shared by
+// many source groups pays the cross-dictionary lookup once. Yp
+// constants resolve to target codes per pattern row; there, unlike
+// Xp, NaN keys collide on purpose (the string-keyed probe puts every
+// NaN under one key, as the shared NaN code does), so only a dictionary
+// miss fails them — and then every probe of the row misses.
+type codeProbe struct {
+	src, dst *relation.Snapshot
+	c        *CIND
+	ix       *relation.CodeIndex // target index on TargetKeyPos; nil when dst is
+	xcols    [][]uint32
+	tab      [][]int64 // tab[i][sc]: 0 unknown, -1 absent from the target, else code+1
+	key      []uint32  // t[X] codes, then the row's Yp codes
+	ypOK     bool
+}
+
+// newCodeProbe binds a probe to the target snapshot (nil: a missing
+// target relation, every probe misses), validating dstIx.
+func newCodeProbe(src, dst *relation.Snapshot, c *CIND, dstIx *relation.CodeIndex) *codeProbe {
+	return &codeProbe{src: src, dst: dst, c: c, ix: relation.IndexFor(dst, c.TargetKeyPos(), dstIx),
+		xcols: make([][]uint32, len(c.x)), tab: make([][]int64, len(c.x)), key: make([]uint32, len(c.y)+len(c.yp))}
+}
+
+func (p *codeProbe) setRow(row PatternRow) {
+	for i, x := range p.c.x {
+		p.xcols[i] = p.src.Col(x)
+	}
+	p.ypOK = p.dst != nil
+	for j, q := range p.c.yp {
+		if !p.ypOK {
+			return
+		}
+		p.key[len(p.c.y)+j], p.ypOK = p.dst.Dict(q).Code(row.YpVals[j])
+	}
+}
+
+func (p *codeProbe) hit(r int) bool {
+	if !p.ypOK {
+		return false
+	}
+	for i, col := range p.xcols {
+		tc, ok := p.translate(i, col[r])
+		if !ok {
+			return false // source value absent from the target column
+		}
+		p.key[i] = tc
+	}
+	return p.ix.HasCodes(p.key)
+}
+
+// translate maps source code sc of column X[i] to the target code of
+// the Equal value in column Y[i], memoized.
+func (p *codeProbe) translate(i int, sc uint32) (uint32, bool) {
+	tb := p.tab[i]
+	if tb == nil {
+		tb = make([]int64, p.src.Dict(p.c.x[i]).Len())
+		p.tab[i] = tb
+	}
+	if int(sc) >= len(tb) {
+		// The shared dictionary grew past the memo (another snapshot is
+		// interning concurrently); translate directly.
+		return p.dst.Dict(p.c.y[i]).Code(p.src.Dict(p.c.x[i]).Value(sc))
+	}
+	switch v := tb[sc]; {
+	case v > 0:
+		return uint32(v - 1), true
+	case v < 0:
+		return 0, false
+	}
+	c, ok := p.dst.Dict(p.c.y[i]).Code(p.src.Dict(p.c.x[i]).Value(sc))
+	if ok {
+		tb[sc] = int64(c) + 1
+	} else {
+		tb[sc] = -1
+	}
+	return c, ok
 }

@@ -32,13 +32,19 @@ func snapDetect(db *relation.Database, c *cind.CIND) []cind.Violation {
 // including mutation churn that grows the shared dictionaries — through
 // both detectors and asserts byte-identical output per CIND, and
 // identical Satisfies verdicts.
+//
+// The last CIND's Xp constant is the int 2^53+1, and every database
+// holds an order priced at the float 2^53: the two differ (a float64
+// compare would equate them), so that order matches no pattern row.
 func TestSnapshotMatchesLegacy(t *testing.T) {
 	phi4, phi5, phi6 := figure4()
-	sigma := []*cind.CIND{phi4, phi5, phi6}
+	sigma := []*cind.CIND{phi4, phi5, phi6, bigPriceCIND()}
 	for _, seed := range []int64{1, 7, 23} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			db := gen.Orders(gen.OrdersConfig{Books: 40, CDs: 30, Orders: 300, Seed: seed, ViolationRate: 0.2})
+			db.MustInstance("order").MustInsert(relation.Str("big"), relation.Str("Unlisted Title"),
+				relation.Str("book"), relation.Float(1<<53))
 			for round := 0; round < 8; round++ {
 				mutateOrders(r, db)
 				for i, c := range sigma {
@@ -58,6 +64,14 @@ func TestSnapshotMatchesLegacy(t *testing.T) {
 			}
 		})
 	}
+}
+
+// bigPriceCIND is order(title; price) ⊆ book(title) for the single
+// price 2^53+1, an int constant over the float price column.
+func bigPriceCIND() *cind.CIND {
+	return cind.MustNew(paperdata.OrderSchema(), paperdata.BookSchema(),
+		[]string{"title"}, []string{"title"}, []string{"price"}, nil,
+		cind.PatternRow{XpVals: []relation.Value{relation.Int(1<<53 + 1)}})
 }
 
 // mutateOrders applies a small random batch across the three relations:
@@ -209,4 +223,88 @@ func TestDetectAllCanonicalOrder(t *testing.T) {
 			t.Fatalf("DetectAll not in (TID, Row) order at %d: %v before %v", i, a, b)
 		}
 	}
+}
+
+// TestKernelScopesAndProbes pins the contract of the one detection body
+// across its scopes and probes: over a touched scope it reports exactly
+// the full scope's violations of touched source tuples (random lists of
+// present, deleted and never-assigned TIDs), and the key probe over a
+// KeyIndex of the whole target reports exactly what the code probe over
+// the target snapshot does — full and touched, with a missing target
+// relation (an empty KeyIndex) too, and under forced hash collisions.
+func TestKernelScopesAndProbes(t *testing.T) {
+	phi4, phi5, phi6 := figure4()
+	sigma := []*cind.CIND{phi4, phi5, phi6, bigPriceCIND(),
+		// An Xp constant missing from the source dictionary prunes the row.
+		cind.MustNew(paperdata.OrderSchema(), paperdata.BookSchema(),
+			[]string{"title"}, []string{"title"}, []string{"type"}, []string{"format"},
+			cind.PatternRow{XpVals: []relation.Value{relation.Str("vinyl")}, YpVals: []relation.Value{relation.Str("audio")}},
+			cind.PatternRow{XpVals: []relation.Value{relation.Str("book")}, YpVals: []relation.Value{relation.Str("hard-cover")}})}
+	for _, collide := range []bool{false, true} {
+		t.Run(fmt.Sprintf("collide=%v", collide), func(t *testing.T) {
+			if collide {
+				defer relation.SetCodeHasherForTest(func([]uint32) uint64 { return 9 })()
+			}
+			r := rand.New(rand.NewSource(13))
+			for round := 0; round < 6; round++ {
+				db := gen.Orders(gen.OrdersConfig{Books: 25, CDs: 20, Orders: 120, Seed: int64(round), ViolationRate: 0.25})
+				mutateOrders(r, db)
+				if round%3 == 2 {
+					db = withoutRelation(db, "book") // missing target for all but ϕ5
+				}
+				dbs := relation.NewDBSnapshot(db)
+				for ci, c := range sigma {
+					src, _ := dbs.Snapshot(c.Src().Name())
+					dst, _ := dbs.Snapshot(c.Dst().Name())
+					keys := cind.NewKeyIndex()
+					if dst != nil {
+						for row := 0; row < dst.Len(); row++ {
+							keys.Add(cind.AppendRowKey(nil, dst, row, c.TargetKeyPos()))
+						}
+					}
+					full := cind.DetectWithSnapshot(src, dst, c, nil, nil)
+					if legacy := cind.Detect(db, c); !reflect.DeepEqual(full, legacy) {
+						t.Fatalf("round %d cind %d: snapshot %v, legacy %v", round, ci, full, legacy)
+					}
+					if got := cind.DetectWithKeys(src, c, keys); !reflect.DeepEqual(got, full) {
+						t.Fatalf("round %d cind %d: key probe %v, code probe %v", round, ci, got, full)
+					}
+					for k := 0; k < 5; k++ {
+						var touched []relation.TID
+						for _, id := range r.Perm(160)[:r.Intn(20)] {
+							touched = append(touched, relation.TID(id))
+						}
+						in := map[relation.TID]bool{}
+						for _, id := range touched {
+							in[id] = true
+						}
+						var want []cind.Violation
+						for _, v := range full {
+							if in[v.TID] {
+								want = append(want, v)
+							}
+						}
+						if got := cind.DetectTouchedWithSnapshot(src, dst, c, nil, touched); !reflect.DeepEqual(got, want) {
+							t.Fatalf("round %d cind %d touched %v: code probe %v, want %v", round, ci, touched, got, want)
+						}
+						if got := cind.DetectTouchedWithKeys(src, c, keys, touched); !reflect.DeepEqual(got, want) {
+							t.Fatalf("round %d cind %d touched %v: key probe %v, want %v", round, ci, touched, got, want)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// withoutRelation returns a database holding every relation of db but
+// the named one.
+func withoutRelation(db *relation.Database, name string) *relation.Database {
+	out := relation.NewDatabase()
+	for _, n := range db.Names() {
+		if n != name {
+			out.Add(db.MustInstance(n))
+		}
+	}
+	return out
 }

@@ -10,10 +10,10 @@ import (
 )
 
 // The three shipped Constraint implementations. Each is a thin adapter:
-// the scan work lives in the class packages' *WithSnapshot primitives
-// (and their string-keyed legacy twins), and the adapters wire those to
-// the engine's shared snapshots, shared indexes and touched-list
-// protocol.
+// the scan work lives in each class package's one columnar detection
+// body, behind its *WithSnapshot entry points (and in its string-keyed
+// legacy twins), and the adapters wire those to the engine's shared
+// snapshots, shared indexes and touched-list protocol.
 
 // box lifts a class's typed violation slice into the mixed stream; any
 // class whose violation type satisfies Violation rides it unchanged.
@@ -164,9 +164,13 @@ func (w cindConstraint) EvalLegacy(db *relation.Database) []Violation {
 	return box(cind.Detect(db, w.c))
 }
 
+// EvalTouched probes per touched tuple, so it requests the target index
+// only: building a source group index would cost a pass over the
+// source relation the touched scan never reads.
 func (w cindConstraint) EvalTouched(ctx *Ctx, touched []relation.TID) []Violation {
-	src, dst, _, dstIx := w.snapshots(ctx)
-	return box(cind.DetectTouchedWithSnapshot(src, dst, w.c, dstIx, touched))
+	src, dst := w.c.Src().Name(), w.c.Dst().Name()
+	return box(cind.DetectTouchedWithSnapshot(ctx.Snapshot(src), ctx.Snapshot(dst), w.c,
+		ctx.Index(dst, w.c.TargetKeyPos()), touched))
 }
 
 func (w cindConstraint) Satisfied(ctx *Ctx) bool {

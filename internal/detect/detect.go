@@ -39,7 +39,7 @@
 // maintains a mixed violation set incrementally across multi-relation
 // update batches — including the target side of CIND inclusions. The
 // CFD-typed entry points below (DetectAll, SatisfiesAll, ...) remain
-// the unboxed fast path for CFD-only workloads and the Monitor.
+// the unboxed fast path for CFD-only callers (repair, the CLIs).
 package detect
 
 import (
@@ -98,9 +98,8 @@ type task struct {
 // snapshot, whatever the number of LHS groups, and an unchanged instance
 // reuses the previous batch's interned columns and group indexes.
 // Laziness keeps early-cancelled runs from paying even the cache probe.
-// The *On entry points preset the snapshot instead (a Monitor detecting
-// against a specific maintained snapshot, possibly not the instance's
-// latest).
+// The *On entry points preset the snapshot instead (detection against a
+// specific snapshot, possibly not the instance's latest).
 type sharedSnapshot struct {
 	once   sync.Once
 	in     *relation.Instance
@@ -266,8 +265,8 @@ func (e *Engine) DetectTouched(in *relation.Instance, set []*cfd.CFD, touched []
 }
 
 // The *On entry points run detection against a caller-supplied snapshot
-// — the maintained snapshot of a Monitor, or any snapshot the caller
-// wants to hold fixed across calls (repair iterations) — instead of
+// — any snapshot the caller wants to hold fixed across calls (repair
+// iterations, a pre- and a post-batch snapshot pair) — instead of
 // resolving relation.SnapshotOf internally. Cached group indexes of the
 // snapshot are shared exactly as on the default path. On a Legacy
 // engine they fall back to the string-keyed path over the snapshot's
@@ -296,7 +295,7 @@ func (e *Engine) DetectAllExhaustiveOn(snap *relation.Snapshot, set []*cfd.CFD) 
 // DetectTouchedOn is DetectTouched evaluated on the given snapshot:
 // touched TIDs absent from the snapshot are skipped, so the same
 // touched list can be diffed against a pre-batch and a post-batch
-// snapshot (the Monitor's core move).
+// snapshot (the core move of incremental maintenance).
 func (e *Engine) DetectTouchedOn(snap *relation.Snapshot, set []*cfd.CFD, touched []relation.TID) []cfd.Violation {
 	var out []cfd.Violation
 	e.runDetectOn(snap.Source(), snap, set, func(v cfd.Violation) { out = append(out, v) },

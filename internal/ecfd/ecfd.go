@@ -33,14 +33,15 @@ import (
 	"repro/internal/relation"
 )
 
-// CellOp distinguishes the three eCFD pattern cell forms.
-type CellOp uint8
+// CellOp distinguishes the three eCFD pattern cell forms. It is the
+// form relation.CompileSet compiles, so a cell compiles as it stands.
+type CellOp = relation.SetOp
 
 // The cell operators.
 const (
-	OpAny   CellOp = iota // '_': matches every value
-	OpIn                  // ∈ S
-	OpNotIn               // ∉ S
+	OpAny   = relation.SetAny   // '_': matches every value
+	OpIn    = relation.SetIn    // ∈ S
+	OpNotIn = relation.SetNotIn // ∉ S
 )
 
 // Cell is one eCFD pattern entry.

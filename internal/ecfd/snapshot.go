@@ -1,121 +1,59 @@
 package ecfd
 
 import (
-	"slices"
-
 	"repro/internal/relation"
 )
 
 // Snapshot-backed eCFD violation detection: the columnar fast path of
-// the detection engine, mirroring cfd's *WithSnapshot primitives — same
-// violations, same (Row, T1, T2, Attr) order as the string-keyed
+// the detection engine. One body, detectSnap, runs over a
+// relation.Scope — every row for the full entry points, the rows of a
+// touched TID list for DetectTouchedWithSnapshot — with the same
+// violations in the same (Row, T1, T2, Attr) order as the string-keyed
 // detector.
 //
-// Set cells compile to dictionary code sets once per tableau row:
-// membership of a data value in "∈ S" / "∉ S" becomes a scan of a
-// handful of codes instead of Value.Equal calls per member (set members
-// that never occur in the column — including NaN constants, which Equal
-// nothing — are dropped at compile time, so an emptied ∈ set prunes all
-// matching and an emptied ∉ set matches every tuple). LHS matching and
-// the single-tuple RHS membership checks run entirely on hoisted code
-// columns; the pair checks on wildcard RHS attributes compare frozen
-// tuples with Value.Equal, exactly like cfd, since LHS groups are
-// overwhelmingly small.
-
-// codedSet is a pattern cell compiled against an attribute dictionary.
-type codedSet struct {
-	op    CellOp
-	codes []uint32 // member codes present in the column (OpIn/OpNotIn)
-}
-
-// matches reports whether a cell accepts a data value's code.
-func (cs codedSet) matches(code uint32) bool {
-	switch cs.op {
-	case OpAny:
-		return true
-	case OpIn:
-		for _, c := range cs.codes {
-			if c == code {
-				return true
-			}
-		}
-		return false
-	default:
-		for _, c := range cs.codes {
-			if c == code {
-				return false
-			}
-		}
-		return true
-	}
-}
-
-// compileSets compiles pattern cells against the dictionaries of their
-// attribute positions. anyMatch reports whether some tuple could still
-// match every cell: false as soon as an ∈ set loses all its members to
-// dictionary misses (LHS rows compiled to !anyMatch are pruned whole).
-func compileSets(snap *relation.Snapshot, pos []int, cells []Cell) (out []codedSet, anyMatch bool) {
-	out = make([]codedSet, len(cells))
-	anyMatch = true
-	for j, cell := range cells {
-		cs := codedSet{op: cell.op}
-		for _, v := range cell.set {
-			if v.Kind() == relation.KindFloat && v.FloatVal() != v.FloatVal() {
-				continue // a NaN member Equals no data value
-			}
-			if code, ok := snap.Dict(pos[j]).Code(v); ok {
-				cs.codes = append(cs.codes, code)
-			}
-		}
-		if cell.op == OpIn && len(cs.codes) == 0 {
-			anyMatch = false
-		}
-		out[j] = cs
-	}
-	return out, anyMatch
-}
+// Set cells compile to dictionary code sets once per tableau row
+// (relation.CompileSet): membership of a data value in "∈ S" / "∉ S"
+// becomes a scan of a handful of codes instead of Value.Equal calls per
+// member, and members that never occur in the column are dropped, so an
+// emptied ∈ set prunes the row and an emptied ∉ set matches every
+// tuple. LHS matching and the single-tuple RHS membership checks run on
+// hoisted code columns over the scope's rows; the pair checks on
+// wildcard RHS attributes walk the LHS groups the scope reaches and
+// compare frozen tuples with Value.Equal, exactly like cfd, since LHS
+// groups are overwhelmingly small.
 
 // SatisfiesWithSnapshot is Satisfies on the columnar path.
 func SatisfiesWithSnapshot(snap *relation.Snapshot, e *ECFD, cx *relation.CodeIndex) bool {
-	return len(detectSnap(snap, e, lhsCodeIndex(snap, e, cx), true)) == 0
+	return len(detectSnap(snap, e, cx, relation.FullScope(snap), true)) == 0
 }
 
 // DetectWithSnapshot is Detect on the columnar path: all violations of
 // the eCFD in the snapshotted instance, sorted by (Row, T1, T2, Attr),
 // byte-identical to the string-keyed detector.
 func DetectWithSnapshot(snap *relation.Snapshot, e *ECFD, cx *relation.CodeIndex) []Violation {
-	return detectSnap(snap, e, lhsCodeIndex(snap, e, cx), false)
+	return detectSnap(snap, e, cx, relation.FullScope(snap), false)
 }
 
-// lhsCodeIndex validates that cx is an index over snap on e's LHS
-// positions, rebuilding it when it is not (or is nil).
-func lhsCodeIndex(snap *relation.Snapshot, e *ECFD, cx *relation.CodeIndex) *relation.CodeIndex {
-	if cx == nil || cx.Snapshot() != snap || !slices.Equal(cx.Positions(), e.lhs) {
-		return relation.BuildCodeIndex(snap, e.lhs)
-	}
-	return cx
+// DetectTouchedWithSnapshot returns the violations of e whose witnesses
+// involve at least one touched tuple, in (Row, T1, T2, Attr) order —
+// the incremental entry point: single-tuple checks on the touched
+// tuples, pair checks on their LHS groups (each group once, against
+// its representative). Touched TIDs missing from the snapshot are
+// skipped.
+func DetectTouchedWithSnapshot(snap *relation.Snapshot, e *ECFD, cx *relation.CodeIndex, touched []relation.TID) []Violation {
+	return detectSnap(snap, e, cx, relation.TouchedScope(snap, touched), false)
 }
 
-func detectSnap(snap *relation.Snapshot, e *ECFD, cx *relation.CodeIndex, firstOnly bool) []Violation {
+// detectSnap is the one columnar eCFD detection body over the rows of
+// sc. cx is validated against the LHS positions and rebuilt when it
+// does not fit (or is nil).
+func detectSnap(snap *relation.Snapshot, e *ECFD, cx *relation.CodeIndex, sc relation.Scope, firstOnly bool) []Violation {
+	cx = relation.IndexFor(snap, e.lhs, cx)
 	var out []Violation
-	n := snap.Len()
-	lhsCols := make([][]uint32, len(e.lhs))
-	for j, p := range e.lhs {
-		lhsCols[j] = snap.Col(p)
-	}
-
 	for rowIdx, row := range e.tableau {
-		lhs, anyMatch := compileSets(snap, e.lhs, row.LHS)
-		if !anyMatch {
+		lhs := relation.NewPattern(snap, e.lhs, compileSets(snap, e.lhs, row.LHS))
+		if lhs.Dead() {
 			continue // some ∈ cell lost every member: no tuple matches
-		}
-		matchLHS := func(r int) bool {
-			for j := range lhs {
-				if !lhs[j].matches(lhsCols[j][r]) {
-					return false
-				}
-			}
-			return true
 		}
 		// Single-tuple violations against non-wildcard RHS cells.
 		hasRHSCond := false
@@ -126,17 +64,18 @@ func detectSnap(snap *relation.Snapshot, e *ECFD, cx *relation.CodeIndex, firstO
 			}
 		}
 		if hasRHSCond {
-			rhs, _ := compileSets(snap, e.rhs, row.RHS)
+			rhs := compileSets(snap, e.rhs, row.RHS)
 			rhsCols := make([][]uint32, len(e.rhs))
 			for j, p := range e.rhs {
 				rhsCols[j] = snap.Col(p)
 			}
-			for r := 0; r < n; r++ {
-				if !matchLHS(r) {
+			for i := 0; i < sc.Len(); i++ {
+				r := sc.Row(i)
+				if !lhs.Match(r) {
 					continue
 				}
 				for j, p := range e.rhs {
-					if rhs[j].op != OpAny && !rhs[j].matches(rhsCols[j][r]) {
+					if !rhs[j].Matches(rhsCols[j][r]) {
 						id := snap.TID(r)
 						out = append(out, Violation{ECFD: e, Row: rowIdx, T1: id, T2: id, Attr: p})
 						if firstOnly {
@@ -157,9 +96,9 @@ func detectSnap(snap *relation.Snapshot, e *ECFD, cx *relation.CodeIndex, firstO
 		if len(eqPos) == 0 {
 			continue
 		}
-		cx.GroupsWhile(2, func(rows []int32) bool {
+		sc.GroupsWhile(cx, 2, func(rows []int32) bool {
 			rep := int(rows[0])
-			if !matchLHS(rep) {
+			if !lhs.Match(rep) {
 				return true // the whole group shares the LHS, so one check suffices
 			}
 			trep := snap.TupleAt(rep)
@@ -185,101 +124,12 @@ func detectSnap(snap *relation.Snapshot, e *ECFD, cx *relation.CodeIndex, firstO
 	return out
 }
 
-// DetectTouchedWithSnapshot returns the violations of e whose witnesses
-// involve at least one touched tuple, in (Row, T1, T2, Attr) order —
-// the incremental entry point, mirroring cfd.DetectTouchedWithSnapshot:
-// single-tuple checks run on the touched tuples only, pair checks on
-// the LHS groups of the touched tuples (each group once, against its
-// representative). Touched TIDs missing from the snapshot are skipped.
-func DetectTouchedWithSnapshot(snap *relation.Snapshot, e *ECFD, cx *relation.CodeIndex, touched []relation.TID) []Violation {
-	cx = lhsCodeIndex(snap, e, cx)
-	var out []Violation
-	lhsCols := make([][]uint32, len(e.lhs))
-	for j, p := range e.lhs {
-		lhsCols[j] = snap.Col(p)
+// compileSets compiles pattern cells against the dictionaries of their
+// attribute positions.
+func compileSets(snap *relation.Snapshot, pos []int, cells []Cell) []relation.CodeSet {
+	out := make([]relation.CodeSet, len(cells))
+	for j, cell := range cells {
+		out[j] = relation.CompileSet(snap, pos[j], cell.op, cell.set...)
 	}
-
-	for rowIdx, row := range e.tableau {
-		lhs, anyMatch := compileSets(snap, e.lhs, row.LHS)
-		if !anyMatch {
-			continue
-		}
-		matchLHS := func(r int) bool {
-			for j := range lhs {
-				if !lhs[j].matches(lhsCols[j][r]) {
-					return false
-				}
-			}
-			return true
-		}
-		hasRHSCond := false
-		for _, c := range row.RHS {
-			if c.op != OpAny {
-				hasRHSCond = true
-				break
-			}
-		}
-		if hasRHSCond {
-			rhs, _ := compileSets(snap, e.rhs, row.RHS)
-			rhsCols := make([][]uint32, len(e.rhs))
-			for j, p := range e.rhs {
-				rhsCols[j] = snap.Col(p)
-			}
-			for _, id := range touched {
-				r, ok := snap.Row(id)
-				if !ok || !matchLHS(r) {
-					continue
-				}
-				for j, p := range e.rhs {
-					if rhs[j].op != OpAny && !rhs[j].matches(rhsCols[j][r]) {
-						out = append(out, Violation{ECFD: e, Row: rowIdx, T1: id, T2: id, Attr: p})
-					}
-				}
-			}
-		}
-		var eqPos []int
-		for j, p := range e.rhs {
-			if row.RHS[j].op == OpAny {
-				eqPos = append(eqPos, p)
-			}
-		}
-		if len(eqPos) == 0 {
-			continue
-		}
-		var seen map[int32]bool
-		for _, id := range touched {
-			r, ok := snap.Row(id)
-			if !ok {
-				continue
-			}
-			gi := cx.GroupOrdinal(r)
-			if seen[gi] {
-				continue
-			}
-			if seen == nil {
-				seen = make(map[int32]bool, len(touched))
-			}
-			seen[gi] = true
-			rows := cx.GroupOf(r)
-			if len(rows) < 2 {
-				continue
-			}
-			rep := int(rows[0])
-			if !matchLHS(rep) {
-				continue
-			}
-			trep := snap.TupleAt(rep)
-			repID := snap.TID(rep)
-			for _, gr := range rows[1:] {
-				t := snap.TupleAt(int(gr))
-				for _, p := range eqPos {
-					if !t[p].Equal(trep[p]) {
-						out = append(out, Violation{ECFD: e, Row: rowIdx, T1: repID, T2: snap.TID(int(gr)), Attr: p})
-					}
-				}
-			}
-		}
-	}
-	sortDetectOrder(out)
 	return out
 }

@@ -2,6 +2,7 @@ package ecfd_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -28,7 +29,17 @@ func benchSet(s *relation.Schema) []*ecfd.ECFD {
 		// A row whose ∈ constant never occurs: prunes to nothing on both paths.
 		ecfd.MustNew(s, []string{"city"}, []string{"street"},
 			ecfd.Row{LHS: []ecfd.Cell{ecfd.In(relation.Str("NOWHERE"))}, RHS: []ecfd.Cell{ecfd.Any()}}),
+		// An ∈ member that is not the float 2^53 bigFloatCustomer plants,
+		// though a float64 compare would equate the two.
+		ecfd.MustNew(s, []string{"CC"}, []string{"city"},
+			ecfd.Row{LHS: []ecfd.Cell{ecfd.In(relation.Int(1<<53 + 1))}, RHS: []ecfd.Cell{ecfd.In(relation.Str("EDI"))}}),
 	}
+}
+
+// bigFloatCustomer inserts a customer whose CC is the float 2^53.
+func bigFloatCustomer(in *relation.Instance) {
+	in.MustInsert(relation.Float(1<<53), relation.Int(131), relation.Int(1000000), relation.Str("n"),
+		relation.Str("st"), relation.Str("NYC"), relation.Str("EH1 1LE"))
 }
 
 // TestSnapshotMatchesLegacy drives randomized dirty customer instances,
@@ -38,6 +49,7 @@ func TestSnapshotMatchesLegacy(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			in := gen.Customers(gen.CustomerConfig{N: 400, Seed: seed, ErrorRate: 0.1})
+			bigFloatCustomer(in)
 			set := benchSet(in.Schema())
 			for round := 0; round < 8; round++ {
 				for i, e := range set {
@@ -147,5 +159,69 @@ func TestDetectTouchedRestriction(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("DetectTouched = %v, want restriction %v", got, want)
+	}
+}
+
+// TestKernelTouchedIsFilteredFull pins the contract of the one detection
+// body: over a touched scope it reports exactly the full scope's
+// violations witnessed by a touched tuple — single-tuple violations of
+// touched tuples, pair violations in LHS groups holding a touched tuple
+// — for random touched lists naming present, deleted and never-assigned
+// TIDs, with and without forced hash collisions, across ∉ cells, ∈ sets
+// that lose some or all members to dictionary misses, and NaN members.
+func TestKernelTouchedIsFilteredFull(t *testing.T) {
+	for _, collide := range []bool{false, true} {
+		t.Run(fmt.Sprintf("collide=%v", collide), func(t *testing.T) {
+			if collide {
+				defer relation.SetCodeHasherForTest(func([]uint32) uint64 { return 5 })()
+			}
+			r := rand.New(rand.NewSource(31))
+			for round := 0; round < 10; round++ {
+				in := gen.Customers(gen.CustomerConfig{N: 120, Seed: int64(round), ErrorRate: 0.2})
+				for i := 0; i < 15; i++ {
+					ids := in.IDs()
+					in.Delete(ids[r.Intn(len(ids))])
+				}
+				s := in.Schema()
+				set := append(benchSet(s),
+					ecfd.MustNew(s, []string{"CC", "city"}, []string{"zip", "AC"},
+						ecfd.Row{LHS: []ecfd.Cell{ecfd.Any(), ecfd.In(relation.Str("EDI"), relation.Str("NOWHERE"))},
+							RHS: []ecfd.Cell{ecfd.Any(), ecfd.NotIn(relation.Int(131), relation.Float(math.NaN()))}},
+						ecfd.Row{LHS: []ecfd.Cell{ecfd.NotIn(relation.Int(1)), ecfd.Any()},
+							RHS: []ecfd.Cell{ecfd.Any(), ecfd.In(relation.Int(999), relation.Float(math.NaN()))}}))
+				snap := relation.NewSnapshot(in)
+				for ei, e := range set {
+					full := ecfd.DetectWithSnapshot(snap, e, nil)
+					if legacy := ecfd.Detect(in, e); !reflect.DeepEqual(full, legacy) {
+						t.Fatalf("round %d ecfd %d: full %v, legacy %v", round, ei, full, legacy)
+					}
+					for k := 0; k < 5; k++ {
+						var touched []relation.TID
+						for _, id := range r.Perm(140)[:r.Intn(15)] {
+							touched = append(touched, relation.TID(id))
+						}
+						groups := map[string]bool{}
+						present := map[relation.TID]bool{}
+						for _, id := range touched {
+							if tu, ok := in.Tuple(id); ok {
+								present[id] = true
+								groups[tu.KeyOn(e.LHS())] = true
+							}
+						}
+						var want []ecfd.Violation
+						for _, v := range full {
+							t1, _ := in.Tuple(v.T1)
+							if (v.T1 == v.T2 && present[v.T1]) || (v.T1 != v.T2 && groups[t1.KeyOn(e.LHS())]) {
+								want = append(want, v)
+							}
+						}
+						got := ecfd.DetectTouchedWithSnapshot(snap, e, snap.CodeIndexOn(e.LHS()), touched)
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("round %d ecfd %d touched %v:\n got %v\nwant %v", round, ei, touched, got, want)
+						}
+					}
+				}
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -94,6 +95,20 @@ func BuildCodeIndex(snap *Snapshot, pos []int) *CodeIndex {
 		return buildCodeIndex(snap, pos, testHasher)
 	}
 	return buildCodeIndex(snap, pos, hashCodes)
+}
+
+// IndexFor returns cx when it is an index over snap on exactly pos, and
+// a fresh BuildCodeIndex otherwise (a nil, foreign-snapshot or
+// wrong-position index is rebuilt, never misused). A nil snapshot has
+// no index.
+func IndexFor(snap *Snapshot, pos []int, cx *CodeIndex) *CodeIndex {
+	switch {
+	case snap == nil:
+		return nil
+	case cx == nil || cx.snap != snap || !slices.Equal(cx.pos, pos):
+		return BuildCodeIndex(snap, pos)
+	}
+	return cx
 }
 
 func buildCodeIndex(snap *Snapshot, pos []int, hash codeHasher) *CodeIndex {
@@ -324,7 +339,7 @@ func (cx *CodeIndex) lookupRows(codes []uint32) []int32 {
 }
 
 // apply derives the group index of ns — the snapshot produced by
-// cx.Snapshot().Apply with net delta d, row map rowMap (old row -> new
+// cx.snap.Apply with net delta d, row map rowMap (old row -> new
 // row, -1 = deleted) and firstNew carried rows — by splicing the
 // touched rows out of and into their groups instead of rebuilding:
 //
@@ -723,11 +738,5 @@ func (cx *CodeIndex) fold() *CodeIndex {
 		ngroups: cx.ngroups, extend: cx.extend}
 }
 
-// Positions returns the indexed attribute positions.
-func (cx *CodeIndex) Positions() []int { return cx.pos }
-
 // Len returns the number of distinct projection groups.
 func (cx *CodeIndex) Len() int { return cx.ngroups }
-
-// Snapshot returns the snapshot the index was built over.
-func (cx *CodeIndex) Snapshot() *Snapshot { return cx.snap }

@@ -43,7 +43,7 @@ func codeIndexGroupSets(cx *CodeIndex) []string {
 	cx.Groups(1, func(rows []int32) {
 		ids := make([]TID, len(rows))
 		for i, r := range rows {
-			ids[i] = cx.Snapshot().TID(int(r))
+			ids[i] = cx.snap.TID(int(r))
 		}
 		out = append(out, fmt.Sprint(ids))
 	})

@@ -41,14 +41,11 @@ func NewDict() *Dict {
 }
 
 // canonicalValue maps v to a representative such that two values are
-// Equal iff their representatives are == as Go values. The only non-
-// identity case is the numeric tower: an integral float equals the
-// corresponding int, folded exactly as Value.Key folds it. (Beyond 2^53,
-// where float64 cannot represent every int64, Value.Equal's
-// float-compare admits equalities that Value.Key — and therefore this
-// canonicalization — does not; that Key/Equal inconsistency predates
-// the dictionary layer, and codes side with Key, i.e. with how the
-// string-keyed index has always grouped.)
+// Equal iff their representatives are == as Go values (NaN aside). The
+// only non-identity case is the numeric tower: an integral float is
+// folded onto the int it denotes, exactly as Value.Key folds it.
+// Value.Equal compares mixed numbers through this folding, so codes,
+// keys and Equal agree on every pair of numbers, beyond 2^53 included.
 func canonicalValue(v Value) Value {
 	if v.kind == KindFloat {
 		if i := int64(v.f); v.f == float64(i) {

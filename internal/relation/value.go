@@ -140,7 +140,11 @@ func (v Value) StrVal() string {
 func (v Value) numeric() bool { return v.kind == KindInt || v.kind == KindFloat }
 
 // Equal reports whether two values are equal. Nulls equal only nulls;
-// numeric values compare numerically across int/float kinds.
+// numeric values compare numerically across int/float kinds, exactly:
+// an int equals a float only when the float is integral and denotes
+// that very int (beyond 2^53 a float64 cannot hold every int64, and a
+// float compare would equate neighbours). Equal therefore agrees with
+// Key and with dictionary codes on every non-NaN pair.
 func (v Value) Equal(w Value) bool {
 	if v.kind == w.kind {
 		switch v.kind {
@@ -155,7 +159,7 @@ func (v Value) Equal(w Value) bool {
 		}
 	}
 	if v.numeric() && w.numeric() {
-		return v.FloatVal() == w.FloatVal()
+		return canonicalValue(v) == canonicalValue(w)
 	}
 	return false
 }
