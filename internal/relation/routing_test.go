@@ -75,14 +75,8 @@ func TestRoutingComposesDeferredUpdatesAcrossMove(t *testing.T) {
 	if err := r.Update("r", 0, 1, Str("new")); err != nil { // non-key: fast path
 		t.Fatal(err)
 	}
-	if r.Moves() != 0 {
-		t.Fatalf("non-key update counted as a move")
-	}
 	if err := r.Update("r", 0, 0, Str(newKey)); err != nil { // key: move
 		t.Fatal(err)
-	}
-	if r.Moves() != 1 {
-		t.Fatalf("Moves = %d, want 1", r.Moves())
 	}
 	applyAll(s, r)
 

@@ -136,27 +136,6 @@ func (s *ShardedDB) AddInstance(in *Instance) error {
 // the sequencer (the goroutine that creates Routings).
 func (s *ShardedDB) NextTID(rel string) TID { return s.nextID[rel] }
 
-// NextTIDs captures every relation's TID allocator position. Together
-// with RebuildDir it lets the sequencer undo a Routing that was never
-// applied (a commit whose log append failed): restoring the counters
-// keeps TID allocation identical to a recovery replay that never saw
-// the rejected batch. Single-writer, like NextTID.
-func (s *ShardedDB) NextTIDs() map[string]TID {
-	out := make(map[string]TID, len(s.nextID))
-	for rel, id := range s.nextID {
-		out[rel] = id
-	}
-	return out
-}
-
-// SetNextTIDs restores allocator positions captured by NextTIDs.
-func (s *ShardedDB) SetNextTIDs(m map[string]TID) {
-	s.nextID = make(map[string]TID, len(m))
-	for rel, id := range m {
-		s.nextID[rel] = id
-	}
-}
-
 // RebuildDir reconstructs the tuple directory by scanning every shard —
 // the recovery step after a partially-applied sub-batch left the routed
 // directory ahead of (or behind) what the shards actually hold. A TID
@@ -264,7 +243,6 @@ type Routing struct {
 	perShard [][]ShardedOp
 	over     map[string]map[TID]Tuple
 	pend     map[string]map[TID][]cellPatch
-	moves    int
 }
 
 // cellPatch is a deferred single-cell update: a non-key Update routes
@@ -289,13 +267,6 @@ func (s *ShardedDB) NewRouting() *Routing {
 // PerShard returns the routed sub-batches, indexed by shard. Shards the
 // batch never touched have nil slices.
 func (r *Routing) PerShard() [][]ShardedOp { return r.perShard }
-
-// Moves returns the number of cross-shard moves routed so far: updates
-// whose new partition key hashed to a different shard, re-homing the
-// tuple. Callers maintaining per-shard attributions (the serve layer's
-// violation counts) use this to detect that placements shifted without
-// any violation necessarily changing.
-func (r *Routing) Moves() int { return r.moves }
 
 // Ops returns the total number of physical ops routed so far.
 func (r *Routing) Ops() int {
@@ -434,7 +405,6 @@ func (r *Routing) Update(rel string, id TID, pos int, v Value) error {
 		ws = append([]float64(nil), old...)
 	}
 	r.s.dir[rel][id] = newShard
-	r.moves++
 	r.push(shard, ShardedOp{Rel: rel, Kind: ChangeDelete, TID: id, Pos: -1})
 	r.push(newShard, ShardedOp{Rel: rel, Kind: ChangeInsert, TID: id, Pos: -1, Tuple: nt, weights: ws})
 	return nil

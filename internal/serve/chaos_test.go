@@ -40,6 +40,7 @@ func detectText(db *relation.Database, cs []detect.Constraint) string {
 type faultyDrive struct {
 	lastAcked uint64
 	acked     int
+	ackedOps  int
 	rejected  [][]detect.DBOp
 	rejErrs   []error
 }
@@ -63,6 +64,7 @@ func driveFaulty(t *testing.T, svc *Service, shadow *relation.Database, r *rand.
 		}
 		d.lastAcked = res.Seq
 		d.acked++
+		d.ackedOps += len(ops)
 		if aerr := applyShadow(shadow, ops); aerr != nil {
 			t.Fatalf("batch %d: shadow: %v", i, aerr)
 		}
@@ -76,10 +78,10 @@ func driveFaulty(t *testing.T, svc *Service, shadow *relation.Database, r *rand.
 // shadow — or, when the WAL held one sync-failed (appended but
 // rejected) batch, the shadow plus exactly that batch. Anything else
 // is a wrong answer.
-func checkRecovery(t *testing.T, dir string, cs []detect.Constraint, base *relation.Database,
+func checkRecovery(t *testing.T, dir string, cs []detect.Constraint, shards int, base *relation.Database,
 	shadow *relation.Database, d *faultyDrive) {
 	t.Helper()
-	svc2 := mustNew(t, Config{DB: base, Constraints: cs, Durable: &DurableConfig{Dir: dir}})
+	svc2 := mustNew(t, Config{DB: base, Constraints: cs, Shards: shards, Durable: &DurableConfig{Dir: dir}})
 	st := svc2.State()
 	if st.Seq < d.lastAcked {
 		t.Fatalf("recovered Seq %d < last acked %d: acknowledged commit lost", st.Seq, d.lastAcked)
@@ -112,10 +114,20 @@ func checkRecovery(t *testing.T, dir string, cs []detect.Constraint, base *relat
 		st.Seq, d.lastAcked, got)
 }
 
+// eachShardMode runs body once against a flat service, in t itself so
+// the flat cases keep their names, and once against a 2-shard service
+// in the subtest "shards=2" — each with the rule set its mode accepts.
+// Both modes commit through the same path, so they share one contract.
+func eachShardMode(t *testing.T, body func(t *testing.T, shards int, cs []detect.Constraint)) {
+	body(t, 0, serveSigma())
+	t.Run("shards=2", func(t *testing.T) { body(t, 2, shardableServeSigma()) })
+}
+
 // TestFaultMatrix enumerates scripted single-fault scenarios over the
 // durable write path and checks each one's contracted behavior: which
 // commits fail, what health state results, and that restart over the
-// repaired (clean) filesystem loses nothing acknowledged.
+// repaired (clean) filesystem loses nothing acknowledged — flat and
+// sharded alike.
 func TestFaultMatrix(t *testing.T) {
 	// Occurrences on the segment file: write #1 and sync #1 are the
 	// magic header at segment creation, so write/sync #N+1 is commit N
@@ -164,42 +176,48 @@ func TestFaultMatrix(t *testing.T) {
 			wantFired:    0, // delays are not error events
 		},
 	}
-	cs := serveSigma()
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			inj := fault.NewInjector(fault.OS, fault.Scenario{Name: tc.name, Faults: tc.faults})
-			db := ordersDB(11, 100)
-			shadow := db.Clone()
-			svc := mustNew(t, Config{DB: db, Constraints: cs,
-				Durable: &DurableConfig{Dir: dir, SyncEvery: 1, FS: inj}})
-			r := rand.New(rand.NewSource(42))
-			fresh := 0
-			d := driveFaulty(t, svc, shadow, r, &fresh, 5)
+	eachShardMode(t, func(t *testing.T, shards int, cs []detect.Constraint) {
+		for _, tc := range cases {
+			t.Run(tc.name, func(t *testing.T) {
+				dir := t.TempDir()
+				inj := fault.NewInjector(fault.OS, fault.Scenario{Name: tc.name, Faults: tc.faults})
+				db := ordersDB(11, 100)
+				shadow := db.Clone()
+				svc := mustNew(t, Config{DB: db, Constraints: cs, Shards: shards,
+					Durable: &DurableConfig{Dir: dir, SyncEvery: 1, FS: inj}})
+				r := rand.New(rand.NewSource(42))
+				fresh := 0
+				d := driveFaulty(t, svc, shadow, r, &fresh, 5)
 
-			if got := len(d.rejected); got != tc.wantRejected {
-				t.Fatalf("rejected %d commit(s) (%v), want %d", got, d.rejErrs, tc.wantRejected)
-			}
-			for _, err := range d.rejErrs {
-				if !errors.Is(err, ErrWAL) && !errors.Is(err, ErrReadOnly) {
-					t.Fatalf("rejection is neither ErrWAL nor ErrReadOnly: %v", err)
+				if got := len(d.rejected); got != tc.wantRejected {
+					t.Fatalf("rejected %d commit(s) (%v), want %d", got, d.rejErrs, tc.wantRejected)
 				}
-			}
-			if h, reason := svc.Health(); h != tc.wantHealth {
-				t.Fatalf("health %v (%q), want %v", h, reason, tc.wantHealth)
-			}
-			if got := inj.FiredCount(); got != tc.wantFired {
-				t.Fatalf("injector fired %d fault(s) (%v), want %d", got, inj.Fired(), tc.wantFired)
-			}
-			// Reads keep serving the acknowledged state, byte-identical to
-			// the fault-free shadow — degraded or not.
-			if got, want := ViolationsText(svc.Violations()), detectText(shadow, cs); got != want {
-				t.Fatalf("published state diverges from acked history:\n got: %q\nwant: %q", got, want)
-			}
-			mustStop(t, svc)
-			checkRecovery(t, dir, cs, ordersDB(11, 100), shadow, d)
-		})
-	}
+				for _, err := range d.rejErrs {
+					if !errors.Is(err, ErrWAL) && !errors.Is(err, ErrReadOnly) {
+						t.Fatalf("rejection is neither ErrWAL nor ErrReadOnly: %v", err)
+					}
+				}
+				if h, reason := svc.Health(); h != tc.wantHealth {
+					t.Fatalf("health %v (%q), want %v", h, reason, tc.wantHealth)
+				}
+				if got := inj.FiredCount(); got != tc.wantFired {
+					t.Fatalf("injector fired %d fault(s) (%v), want %d", got, inj.Fired(), tc.wantFired)
+				}
+				// A rejected commit is not applied: the published op count is
+				// exactly the acknowledged history's.
+				if got, want := svc.State().Ops, uint64(d.ackedOps); got != want {
+					t.Fatalf("published Ops %d, want %d (rejected commits must not apply)", got, want)
+				}
+				// Reads keep serving the acknowledged state, byte-identical to
+				// the fault-free shadow — degraded or not.
+				if got, want := ViolationsText(svc.Violations()), detectText(shadow, cs); got != want {
+					t.Fatalf("published state diverges from acked history:\n got: %q\nwant: %q", got, want)
+				}
+				mustStop(t, svc)
+				checkRecovery(t, dir, cs, shards, ordersDB(11, 100), shadow, d)
+			})
+		}
+	})
 }
 
 // TestWALSyncFaultDegradesHealthz drives the WAL-fsync fault through
@@ -457,7 +475,7 @@ func chaosScenario(r *rand.Rand) fault.Scenario {
 
 // TestChaosHarness is the headline robustness test: randomized fault
 // schedules over a deterministic op stream, against a durable
-// SyncEvery=1 service. Invariants, per seed:
+// SyncEvery=1 service, flat and 2-shard. Invariants, per seed:
 //
 //   - every acknowledged commit is applied and every rejected one is
 //     not, so the published violation set stays byte-identical to a
@@ -468,54 +486,56 @@ func chaosScenario(r *rand.Rand) fault.Scenario {
 //   - restart over the repaired filesystem recovers every acknowledged
 //     commit (an un-acked sync-failed tail batch may legally appear).
 func TestChaosHarness(t *testing.T) {
-	cs := serveSigma()
-	totalFired := 0
-	for seed := int64(1); seed <= 4; seed++ {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			r := rand.New(rand.NewSource(seed))
-			sc := chaosScenario(r)
-			inj := fault.NewInjector(fault.OS, sc)
-			dir := t.TempDir()
-			db := ordersDB(seed, 80)
-			shadow := db.Clone()
-			svc := mustNew(t, Config{DB: db, Constraints: cs,
-				Durable: &DurableConfig{Dir: dir, SyncEvery: 1, CheckpointEvery: 10, FS: inj}})
+	eachShardMode(t, func(t *testing.T, shards int, cs []detect.Constraint) {
+		totalFired := 0
+		for seed := int64(1); seed <= 4; seed++ {
+			t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+				r := rand.New(rand.NewSource(seed))
+				sc := chaosScenario(r)
+				inj := fault.NewInjector(fault.OS, sc)
+				dir := t.TempDir()
+				db := ordersDB(seed, 80)
+				shadow := db.Clone()
+				svc := mustNew(t, Config{DB: db, Constraints: cs, Shards: shards,
+					Durable: &DurableConfig{Dir: dir, SyncEvery: 1, CheckpointEvery: 10, FS: inj}})
 
-			fresh := 0
-			d := driveFaulty(t, svc, shadow, r, &fresh, 50)
-			t.Logf("seed %d: %d acked, %d rejected, faults fired: %v",
-				seed, d.acked, len(d.rejected), inj.Fired())
-			totalFired += inj.FiredCount()
+				fresh := 0
+				d := driveFaulty(t, svc, shadow, r, &fresh, 50)
+				t.Logf("seed %d: %d acked, %d rejected, faults fired: %v",
+					seed, d.acked, len(d.rejected), inj.Fired())
+				totalFired += inj.FiredCount()
 
-			sawReadOnly := false
-			for _, err := range d.rejErrs {
-				switch {
-				case errors.Is(err, ErrReadOnly):
-					sawReadOnly = true
-				case errors.Is(err, ErrWAL):
-					if sawReadOnly {
-						t.Fatalf("ErrWAL after ErrReadOnly: a degraded service accepted a write: %v", err)
+				sawReadOnly := false
+				for _, err := range d.rejErrs {
+					switch {
+					case errors.Is(err, ErrReadOnly):
+						sawReadOnly = true
+					case errors.Is(err, ErrWAL):
+						if sawReadOnly {
+							t.Fatalf("ErrWAL after ErrReadOnly: a degraded service accepted a write: %v", err)
+						}
+					default:
+						t.Fatalf("unstructured rejection: %v", err)
 					}
-				default:
-					t.Fatalf("unstructured rejection: %v", err)
 				}
-			}
-			if h, _ := svc.Health(); sawReadOnly && h == Healthy {
-				t.Fatal("Submit reported read-only but Health() says healthy")
-			}
+				if h, _ := svc.Health(); sawReadOnly && h == Healthy {
+					t.Fatal("Submit reported read-only but Health() says healthy")
+				}
 
-			// Never a wrong answer: the published set matches the fault-free
-			// shadow of the acked history exactly, degraded or not.
-			if got, want := ViolationsText(svc.Violations()), detectText(shadow, cs); got != want {
-				t.Fatalf("published state diverges from acked history:\n got: %q\nwant: %q", got, want)
-			}
-			mustStop(t, svc)
-			checkRecovery(t, dir, cs, ordersDB(seed, 80), shadow, d)
-		})
-	}
-	if totalFired == 0 {
-		t.Fatal("no chaos fault ever fired: the schedules are dead and the harness tests nothing")
-	}
+				// Never a wrong answer: the published set matches the
+				// fault-free shadow of the acked history exactly, degraded or
+				// not.
+				if got, want := ViolationsText(svc.Violations()), detectText(shadow, cs); got != want {
+					t.Fatalf("published state diverges from acked history:\n got: %q\nwant: %q", got, want)
+				}
+				mustStop(t, svc)
+				checkRecovery(t, dir, cs, shards, ordersDB(seed, 80), shadow, d)
+			})
+		}
+		if totalFired == 0 {
+			t.Fatal("no chaos fault ever fired: the schedules are dead and the harness tests nothing")
+		}
+	})
 }
 
 // TestChaosSharded turns the scheduling-fault dial: random stalls and

@@ -1,9 +1,9 @@
 // Durability layer: a write-ahead op log plus checkpointed snapshots.
 //
 // Every commit batch is encoded in the oplog wire format and appended
-// to the WAL — fsynced (possibly as part of a group-commit window) —
-// BEFORE it is applied, published or acknowledged, so an ack means the
-// commit survives kill -9. A background checkpointer periodically
+// to the WAL BEFORE it is applied, and fsynced (possibly as part of a
+// group-commit window) before it is published or acknowledged, so an
+// ack means the commit survives kill -9. A background checkpointer periodically
 // persists the published snapshot with relation.WriteCheckpoint and
 // truncates the covered WAL prefix; restart is checkpoint-load plus a
 // replay of the WAL tail through the ordinary monitor machinery, which
@@ -148,13 +148,7 @@ func (s *Service) replayWAL(seed *State) error {
 		if err != nil {
 			return fmt.Errorf("serve: recover: wal record %d: %v", seq, err)
 		}
-		var gained, cleared []detect.Violation
-		var aerr error
-		if s.smonitor != nil {
-			gained, cleared, aerr = s.commitSharded(ops)
-		} else {
-			gained, cleared, aerr = s.monitor.Apply(ops)
-		}
+		gained, cleared, aerr := s.apply(ops)
 		seed.Seq = seq
 		seed.Ops += uint64(len(ops))
 		seed.Gained += uint64(len(gained))
@@ -196,21 +190,6 @@ func encodeBatchInto(buf *bytes.Buffer, ops []detect.DBOp, schemas map[string]*r
 
 // walDir is where the log segments live under a data directory.
 func walDir(dataDir string) string { return dataDir + "/wal" }
-
-// captureNextTIDs snapshots each relation's next TID — sequencer-only,
-// called at commit time so a checkpoint of the published State can
-// preserve the allocator positions replay depends on.
-func (s *Service) captureNextTIDs() map[string]relation.TID {
-	out := make(map[string]relation.TID, len(s.schemas))
-	for name := range s.schemas {
-		if s.shardedDB != nil {
-			out[name] = s.shardedDB.NextTID(name)
-		} else {
-			out[name] = s.db.MustInstance(name).NextTID()
-		}
-	}
-	return out
-}
 
 // finalCheckpointAttempts bounds the retry loop of the final
 // checkpoint pass at Stop — a few tries for a condition the operator

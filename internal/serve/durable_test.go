@@ -199,62 +199,76 @@ func (fw *flakyW) Write(p []byte) (int, error) {
 }
 
 // TestDurableWALFailure: when the log stops taking writes, commits are
-// rejected with ErrWAL without being applied, reads keep serving the
-// published state, and the HTTP front end degrades to 503 +
-// Retry-After.
+// rejected with ErrWAL without being applied — no op, and no TID
+// allocation either — reads keep serving the published state, and the
+// HTTP front end degrades to 503 + Retry-After. Flat and 2-shard.
 func TestDurableWALFailure(t *testing.T) {
-	cs := serveSigma()
-	dir := t.TempDir()
-	fw := &flakyWriter{budget: 300}
-	svc := mustNew(t, Config{DB: ordersDB(3, 60), Constraints: cs,
-		Durable: &DurableConfig{Dir: dir, CheckpointEvery: -1, Wrap: fw.wrap}})
-	ctx := context.Background()
-	op := func(i int) []detect.DBOp {
-		return []detect.DBOp{detect.InsertInto("order", relation.Tuple{
-			relation.Str(fmt.Sprintf("wf%d", i)), relation.Str("Book Title 1"),
-			relation.Str("book"), relation.Float(7.99)})}
-	}
-	acked, failed := 0, 0
-	var firstErr error
-	for i := 0; i < 20; i++ {
-		res, err := svc.Submit(ctx, op(i))
-		if err == nil {
-			acked++
-			continue
+	eachShardMode(t, func(t *testing.T, shards int, cs []detect.Constraint) {
+		dir := t.TempDir()
+		fw := &flakyWriter{budget: 300}
+		svc := mustNew(t, Config{DB: ordersDB(3, 60), Constraints: cs, Shards: shards,
+			Durable: &DurableConfig{Dir: dir, CheckpointEvery: -1, Wrap: fw.wrap}})
+		startTID := svc.State().NextTIDs["order"]
+		ctx := context.Background()
+		op := func(i int) []detect.DBOp {
+			return []detect.DBOp{detect.InsertInto("order", relation.Tuple{
+				relation.Str(fmt.Sprintf("wf%d", i)), relation.Str("Book Title 1"),
+				relation.Str("book"), relation.Float(7.99)})}
 		}
-		failed++
-		if firstErr == nil {
-			firstErr = err
+		acked, failed := 0, 0
+		var firstErr error
+		for i := 0; i < 20; i++ {
+			res, err := svc.Submit(ctx, op(i))
+			if err == nil {
+				acked++
+				continue
+			}
+			failed++
+			if firstErr == nil {
+				firstErr = err
+			}
+			if !errors.Is(err, ErrWAL) {
+				t.Fatalf("batch %d: err = %v, want ErrWAL", i, err)
+			}
+			if res.Seq != svc.State().Seq {
+				t.Fatalf("rejected batch acked at seq %d, published %d", res.Seq, svc.State().Seq)
+			}
 		}
-		if !errors.Is(err, ErrWAL) {
-			t.Fatalf("batch %d: err = %v, want ErrWAL", i, err)
+		if acked == 0 || failed == 0 {
+			t.Fatalf("want both acks and failures, got %d acks, %d failures (budget wrong?)", acked, failed)
 		}
-		if res.Seq != svc.State().Seq {
-			t.Fatalf("rejected batch acked at seq %d, published %d", res.Seq, svc.State().Seq)
+		// A rejected commit was not applied: the published state counts
+		// exactly the acked inserts.
+		if got := svc.State().Ops; got != uint64(acked) {
+			t.Fatalf("published Ops %d, want %d (rejected commits must not apply)", got, acked)
 		}
-	}
-	if acked == 0 || failed == 0 {
-		t.Fatalf("want both acks and failures, got %d acks, %d failures (budget wrong?)", acked, failed)
-	}
-	// A rejected commit was not applied: the published state counts
-	// exactly the acked inserts.
-	if got := svc.State().Ops; got != uint64(acked) {
-		t.Fatalf("published Ops %d, want %d (rejected commits must not apply)", got, acked)
-	}
-	// Reads still serve, and POST /batch maps the failure to a 503 with
-	// Retry-After.
-	_ = svc.Violations()
-	h := NewHandler(svc)
-	rec := httptest.NewRecorder()
-	req := httptest.NewRequest("POST", "/batch",
-		strings.NewReader("insert order wfx,Book Title 2,book,8.99\ncommit\n"))
-	h.ServeHTTP(rec, req)
-	if rec.Code != 503 {
-		t.Fatalf("POST /batch with broken WAL = %d, want 503", rec.Code)
-	}
-	if rec.Header().Get("Retry-After") == "" {
-		t.Fatal("503 response missing Retry-After")
-	}
+		// Reads still serve, and POST /batch maps the failure to a 503 with
+		// Retry-After.
+		_ = svc.Violations()
+		h := NewHandler(svc)
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest("POST", "/batch",
+			strings.NewReader("insert order wfx,Book Title 2,book,8.99\ncommit\n"))
+		h.ServeHTTP(rec, req)
+		if rec.Code != 503 {
+			t.Fatalf("POST /batch with broken WAL = %d, want 503", rec.Code)
+		}
+		if rec.Header().Get("Retry-After") == "" {
+			t.Fatal("503 response missing Retry-After")
+		}
+		// Heal the writer: the next insert is acked, and the TID allocator
+		// stands at its start plus the acked inserts — a rejected commit
+		// allocated nothing, so a replay of the log allocates the same TIDs.
+		fw.budget = 1 << 20
+		if _, err := svc.Submit(ctx, op(20)); err != nil {
+			t.Fatalf("commit after the log healed: %v", err)
+		}
+		acked++
+		if got, want := svc.State().NextTIDs["order"], startTID+relation.TID(acked); got != want {
+			t.Fatalf("next order TID %d, want %d (start %d + %d acked inserts): a rejected commit allocated",
+				got, want, startTID, acked)
+		}
+	})
 }
 
 // discardWriter simulates kill -9 at byte N: the first budget bytes

@@ -43,7 +43,8 @@ func crashBatch(r *rand.Rand, shadow *relation.Database, fresh *int) []detect.DB
 // TestCrashServerHelper is the child half of TestKillRecoverE2E: a
 // durable service ingesting the deterministic batch stream forever,
 // printing "ack <seq>" after every fsynced commit, until the parent
-// delivers SIGKILL. Skipped unless re-executed with DQ_CRASH_HELPER=1.
+// delivers SIGKILL. Skipped unless re-executed with DQ_CRASH_HELPER=1;
+// DQ_CRASH_SHARDS sets the shard count (default flat).
 func TestCrashServerHelper(t *testing.T) {
 	if os.Getenv("DQ_CRASH_HELPER") != "1" {
 		t.Skip("helper process for TestKillRecoverE2E")
@@ -52,13 +53,24 @@ func TestCrashServerHelper(t *testing.T) {
 	if dir == "" {
 		t.Fatal("DQ_CRASH_DIR not set")
 	}
+	shards := 0
+	if v := os.Getenv("DQ_CRASH_SHARDS"); v != "" {
+		n, err := strconv.Atoi(v)
+		if err != nil {
+			t.Fatalf("DQ_CRASH_SHARDS: %v", err)
+		}
+		shards = n
+	}
 	// Watchdog: if the parent dies without killing us, don't run forever.
 	time.AfterFunc(2*time.Minute, func() { os.Exit(3) })
 
 	cs := serveSigma()
+	if shards > 1 {
+		cs = shardableServeSigma() // the rule set eachShardMode gives the sharded run
+	}
 	db := ordersDB(crashSeed, crashOrders)
 	shadow := db.Clone()
-	svc, err := New(Config{DB: db, Constraints: cs,
+	svc, err := New(Config{DB: db, Constraints: cs, Shards: shards,
 		Durable: &DurableConfig{Dir: dir, SyncEvery: 1, CheckpointEvery: 10}})
 	if err != nil {
 		t.Fatalf("helper: %v", err)
@@ -85,10 +97,17 @@ func TestCrashServerHelper(t *testing.T) {
 // recover the data directory in-process and require that (a) every
 // acknowledged commit survived and (b) GET /violations is
 // byte-identical to an uninterrupted shadow run of the same batches.
+// It runs flat, then with 2 shards (recovery reopens with the same
+// count).
 func TestKillRecoverE2E(t *testing.T) {
+	eachShardMode(t, killRecover)
+}
+
+func killRecover(t *testing.T, shards int, cs []detect.Constraint) {
 	dir := t.TempDir()
 	cmd := exec.Command(os.Args[0], "-test.run", "TestCrashServerHelper$", "-test.v")
-	cmd.Env = append(os.Environ(), "DQ_CRASH_HELPER=1", "DQ_CRASH_DIR="+dir)
+	cmd.Env = append(os.Environ(), "DQ_CRASH_HELPER=1", "DQ_CRASH_DIR="+dir,
+		"DQ_CRASH_SHARDS="+strconv.Itoa(shards))
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -128,8 +147,7 @@ func TestKillRecoverE2E(t *testing.T) {
 	cmd.Wait()
 
 	// Recover in-process over the same directory.
-	cs := serveSigma()
-	svc := mustNew(t, Config{DB: ordersDB(crashSeed, crashOrders), Constraints: cs,
+	svc := mustNew(t, Config{DB: ordersDB(crashSeed, crashOrders), Constraints: cs, Shards: shards,
 		Durable: &DurableConfig{Dir: dir}})
 	recovered := svc.State().Seq
 	if recovered < maxAck {

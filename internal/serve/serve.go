@@ -409,21 +409,14 @@ func New(cfg Config) (*Service, error) {
 	}
 	var vs []detect.Violation
 	if s.smonitor != nil {
-		seed.Shards = s.smonitor.ShardSnapshots()
 		vs = s.smonitor.Violations()
-		seed.ShardViolations = s.smonitor.ShardCounts()
-		seed.FullSyncs = s.smonitor.FullSyncs()
 	} else {
-		seed.Snapshot = s.monitor.Snapshot()
 		vs = s.monitor.Violations()
-		seed.FullSyncs = s.monitor.FullSyncs()
 	}
+	s.capture(seed)
 	seed.viols = newViolSeq(vs)
 	seed.ruleCounts = make([]int, len(s.rules.infos))
 	s.rules.tally(seed.ruleCounts, vs, 1)
-	if s.wal != nil {
-		seed.NextTIDs = s.captureNextTIDs()
-	}
 	s.tip = seed
 	s.state.Store(seed)
 	if cfg.Obs != nil {
@@ -563,16 +556,19 @@ func (s *Service) coalesce(first request) {
 	s.commit(reqs, n)
 }
 
-// commit applies one coalesced batch against the writer-local tip.
-// Each request is validated upfront against the tip plus the accepted
-// requests before it: an invalid request is acknowledged with its
-// *OpError at the unchanged tip sequence — nothing of it logged or
-// applied — while the valid requests around it commit normally. In
-// durable mode the surviving batch is WAL-logged first — a batch the
-// log cannot take is rejected without being applied, so memory and log
-// always agree — and the successor State is published and acknowledged
-// only once its frame is fsynced: immediately when the append synced,
-// otherwise from the group-commit flush.
+// commit applies one coalesced batch against the writer-local tip — the
+// one commit path, flat or sharded, with or without a WAL: validate,
+// log, apply, enqueue, flush. Each request is validated upfront against
+// the tip plus the accepted requests before it: an invalid request is
+// acknowledged with its *OpError at the unchanged tip sequence —
+// nothing of it logged or applied — while the valid requests around it
+// commit normally. In durable mode the surviving batch is WAL-logged
+// first (Append fsyncs inline when the group-commit window is due) — a
+// batch the log cannot take, its fsync included, is rejected without
+// being applied, so memory and log always agree — and the successor
+// State is published and acknowledged only once its frame is fsynced:
+// immediately when the append synced, otherwise from the group-commit
+// flush.
 func (s *Service) commit(reqs []request, n int) {
 	if err := s.healthErr(); err != nil {
 		s.reject(reqs, err)
@@ -604,13 +600,6 @@ func (s *Service) commit(reqs []request, n int) {
 	}
 	reqs = valid
 
-	if s.wal != nil && s.smonitor != nil {
-		// Sharded durable commits overlap the WAL work with the shard
-		// machinery instead of running the phases back to back.
-		s.commitShardedDurable(reqs, ops)
-		return
-	}
-
 	synced := true
 	if s.wal != nil {
 		buf := encBufs.Get().(*bytes.Buffer)
@@ -637,15 +626,7 @@ func (s *Service) commit(reqs []request, n int) {
 		synced = ok
 	}
 
-	var gained, cleared []detect.Violation
-	var err error
-	if s.smonitor != nil {
-		gained, cleared, err = s.commitSharded(ops)
-	} else {
-		dt := s.met.now()
-		gained, cleared, err = s.monitor.Apply(ops)
-		s.met.observeStage(stageDetect, dt)
-	}
+	gained, cleared, err := s.apply(ops)
 	s.enqueueCommit(reqs, ops, gained, cleared, err)
 	if synced {
 		s.flushPending(nil)
@@ -676,17 +657,7 @@ func (s *Service) enqueueCommit(reqs []request, ops []detect.DBOp, gained, clear
 		Cleared:    old.Cleared + uint64(len(cleared)),
 		Errs:       old.Errs,
 	}
-	if s.smonitor != nil {
-		st.Shards = s.smonitor.ShardSnapshots()
-		st.ShardViolations = s.smonitor.ShardCounts()
-		st.FullSyncs = s.smonitor.FullSyncs()
-	} else {
-		st.Snapshot = s.monitor.Snapshot()
-		st.FullSyncs = s.monitor.FullSyncs()
-	}
-	if s.wal != nil {
-		st.NextTIDs = s.captureNextTIDs()
-	}
+	s.capture(st)
 	if err != nil {
 		st.Errs++
 	}
@@ -707,76 +678,6 @@ func (s *Service) enqueueCommit(reqs []request, ops []detect.DBOp, gained, clear
 		reqs:  reqs,
 		res:   Result{Seq: st.Seq, Gained: len(gained), Cleared: len(cleared), Err: err},
 	})
-}
-
-// commitShardedDurable is the sharded commit path with a WAL: the wire
-// encode runs concurrently with the sequential route pass, the append
-// (without its fsync) gates the apply exactly as on the flat path —
-// a batch the log cannot take is rejected with the routing undone, so
-// memory and log still agree — and when the group-commit window is due
-// the fsync overlaps the scatter and incremental sync, joining only at
-// publication time.
-func (s *Service) commitShardedDurable(reqs []request, ops []detect.DBOp) {
-	buf := encBufs.Get().(*bytes.Buffer)
-	type encoded struct {
-		payload []byte
-		err     error
-	}
-	encCh := make(chan encoded, 1)
-	go func() {
-		p, err := encodeBatchInto(buf, ops, s.schemas)
-		encCh <- encoded{p, err}
-	}()
-
-	// Route eagerly mutates only the TID allocators and the tuple
-	// directory; capture the allocators so a failed append can revert
-	// both (RebuildDir restores the directory from the instances, which
-	// are untouched until the scatter below).
-	tids := s.shardedDB.NextTIDs()
-	rt := s.met.now()
-	r, rerr := s.smonitor.Route(ops)
-	s.met.observeStage(stageRoute, rt)
-
-	enc := <-encCh
-	var syncDue bool
-	err := enc.err
-	at := s.met.now()
-	if err == nil {
-		syncDue, err = s.wal.AppendNoSync(s.tip.Seq+1, enc.payload)
-	}
-	s.met.observeStage(stageWALAppend, at)
-	encBufs.Put(buf)
-	if err != nil {
-		s.shardedDB.SetNextTIDs(tids)
-		s.shardedDB.RebuildDir()
-		if enc.err == nil {
-			if errors.Is(err, wal.ErrBroken) {
-				s.degrade(ReadOnly, fmt.Sprintf("write-ahead log broken: %v", err))
-			}
-			err = fmt.Errorf("%w: %v", ErrWAL, err)
-		}
-		s.reject(reqs, err)
-		return
-	}
-
-	var syncCh chan error
-	if syncDue {
-		syncCh = make(chan error, 1)
-		go func() {
-			st := s.met.now()
-			err := s.wal.Sync()
-			s.met.observeStage(stageWALSync, st)
-			syncCh <- err
-		}()
-	}
-	gained, cleared, aerr := s.applyRouted(r, rerr)
-	s.enqueueCommit(reqs, ops, gained, cleared, aerr)
-	if syncCh != nil {
-		// A failed fsync here has group-commit-failure semantics: the
-		// batch is applied in memory, flushPending publishes it, every
-		// held ack reports ErrWAL, and the service degrades to read-only.
-		s.flushPending(<-syncCh)
-	}
 }
 
 // reject refuses one coalesced batch without applying it: every
@@ -863,25 +764,26 @@ func (s *Service) flushPending(syncErr error) {
 	s.pending = s.pending[:0]
 }
 
-// commitSharded is the sequencer's half of a sharded commit: one
-// sequential route pass (validation, TID allocation, move decisions),
-// a scatter to the shard writers with a barrier, then the merged
-// incremental sync. Error semantics match DBMonitor.Apply: the routed
-// prefix before a failing op is applied and the error returned with
-// the diff.
-func (s *Service) commitSharded(ops []detect.DBOp) (gained, cleared []detect.Violation, err error) {
+// apply applies one validated (and, with a WAL, already logged) batch
+// and returns its violation diff — the one apply step commit and WAL
+// replay share. Flat, it is DBMonitor.Apply. Sharded, it is one
+// sequential route pass (validation, TID allocation, move decisions), a
+// scatter to the shard writers behind a barrier, then the merged
+// incremental sync (which also maintains the per-shard violation
+// counts). Error semantics are DBMonitor.Apply's either way: the prefix
+// before a failing op is applied and the error returned with the diff,
+// so replaying a logged batch reproduces its TIDs, prefix and error.
+func (s *Service) apply(ops []detect.DBOp) (gained, cleared []detect.Violation, err error) {
+	if s.smonitor == nil {
+		dt := s.met.now()
+		gained, cleared, err = s.monitor.Apply(ops)
+		s.met.observeStage(stageDetect, dt)
+		return gained, cleared, err
+	}
 	rt := s.met.now()
-	r, rerr := s.smonitor.Route(ops)
+	r, err := s.smonitor.Route(ops)
 	s.met.observeStage(stageRoute, rt)
-	return s.applyRouted(r, rerr)
-}
 
-// applyRouted scatters an already-routed batch to the shard writers,
-// waits out the barrier and runs the merged incremental sync (which
-// also maintains the per-shard violation counts). Factored out of
-// commitSharded so the durable path can route before the WAL append
-// and apply after it.
-func (s *Service) applyRouted(r *relation.Routing, err error) (gained, cleared []detect.Violation, _ error) {
 	st := s.met.now()
 	errs := make([]error, len(s.shardCh))
 	var wg sync.WaitGroup
@@ -916,6 +818,33 @@ func (s *Service) applyRouted(r *relation.Routing, err error) (gained, cleared [
 	gained, cleared = s.smonitor.Sync()
 	s.met.observeStage(stageDetect, dt)
 	return gained, cleared, err
+}
+
+// capture copies the monitor's post-commit freezes, per-shard violation
+// counts and full-sync count into st — the part of a State the seed and
+// every commit take alike. With a WAL it also records each relation's
+// next TID, which a checkpoint of st must preserve so post-recovery
+// inserts allocate the TIDs the uninterrupted run would have.
+func (s *Service) capture(st *State) {
+	if s.smonitor != nil {
+		st.Shards = s.smonitor.ShardSnapshots()
+		st.ShardViolations = s.smonitor.ShardCounts()
+		st.FullSyncs = s.smonitor.FullSyncs()
+	} else {
+		st.Snapshot = s.monitor.Snapshot()
+		st.FullSyncs = s.monitor.FullSyncs()
+	}
+	if s.wal == nil {
+		return
+	}
+	st.NextTIDs = make(map[string]relation.TID, len(s.schemas))
+	for name := range s.schemas {
+		if s.shardedDB != nil {
+			st.NextTIDs[name] = s.shardedDB.NextTID(name)
+		} else {
+			st.NextTIDs[name] = s.db.MustInstance(name).NextTID()
+		}
+	}
 }
 
 // Submit enqueues one mutation batch and waits for the commit that

@@ -643,10 +643,9 @@ func TestPreallocate(t *testing.T) {
 	}
 }
 
-// TestAppendNoSync checks the split append/fsync API the sharded
-// durable commit path uses: records stay volatile (and the policy
-// reports due) until the caller's own Sync, which then covers the
-// whole window.
+// TestAppendNoSync checks the split append/fsync API (the benchmark's
+// WAL layer drives it): records stay volatile (and the policy reports
+// due) until the caller's own Sync, which then covers the whole window.
 func TestAppendNoSync(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{SyncEvery: 2})
