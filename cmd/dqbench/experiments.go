@@ -939,9 +939,9 @@ func mixedDetectProbe(n int) (engine, legacy time.Duration, identical bool) {
 // detect.DBMonitor over the one-relation database (incremental
 // snapshot/index maintenance) and once
 // through the invalidate-and-rebuild discipline (fresh snapshot + fresh
-// group indexes + DetectTouched per batch). Exactness compares the
-// monitor's maintained violation set against a fresh full DetectAll
-// after every batch.
+// group indexes + the touched CFD kernel per batch). Exactness compares
+// the monitor's maintained violation set against the string-keyed
+// cfd.DetectAll after every batch.
 func monitorIncrProbe(n, batches, batchSize int) (monitor, rebuild time.Duration, exact bool) {
 	mkSigma := func(s *relation.Schema) []*cfd.CFD {
 		ccs := []int64{44, 1, 31, 49, 33, 39, 34, 46}
@@ -975,7 +975,6 @@ func monitorIncrProbe(n, batches, batchSize int) (monitor, rebuild time.Duration
 	db := relation.NewDatabase()
 	db.Add(inM)
 	m := detect.NewDBMonitor(detect.New(1), db, detect.WrapCFDs(sigma))
-	checker := detect.New(1)
 	exact = true
 	for r := 0; r < batches; r++ {
 		ops := mkOps(inM, r)
@@ -985,10 +984,10 @@ func monitorIncrProbe(n, batches, batchSize int) (monitor, rebuild time.Duration
 		}
 		monitor += time.Since(start)
 		got := m.Violations()
-		// Oracle on an independently frozen snapshot: DetectAll(inM)
-		// would resolve SnapshotOf and re-use the monitor's own
-		// incrementally-derived state, making the check circular.
-		want := checker.DetectAllOn(relation.NewSnapshot(inM), sigma)
+		// Oracle: the string-keyed reference detector, which shares no
+		// snapshot or index with the monitor's incrementally derived
+		// state.
+		want := cfd.DetectAll(inM, sigma)
 		if len(got) != len(want) {
 			exact = false
 		} else {
@@ -1005,7 +1004,6 @@ func monitorIncrProbe(n, batches, batchSize int) (monitor, rebuild time.Duration
 	// batch pays a fresh freeze + intern + index build before the
 	// touched-group scan (PR 2's behavior after any mutation).
 	inR := gen.Customers(gen.CustomerConfig{N: n, Seed: 17, ErrorRate: 0.05})
-	e := detect.New(1)
 	for r := 0; r < batches; r++ {
 		ops := mkOps(inR, r)
 		touched := make([]relation.TID, 0, len(ops))
@@ -1017,7 +1015,9 @@ func monitorIncrProbe(n, batches, batchSize int) (monitor, rebuild time.Duration
 		}
 		start := time.Now()
 		snap := relation.NewSnapshot(inR) // invalidation: nothing carried over
-		e.DetectTouchedOn(snap, sigma, touched)
+		for _, c := range sigma {
+			cfd.DetectTouchedWithSnapshot(snap, c, snap.CodeIndexOn(c.LHS()), touched)
+		}
 		rebuild += time.Since(start)
 	}
 	return monitor, rebuild, exact

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"sort"
 	"strings"
 
 	"repro/internal/cfd"
@@ -52,7 +51,7 @@ func main() {
 	}
 
 	schemas := make(map[string]*relation.Schema)
-	instances := make(map[string]*relation.Instance)
+	db := relation.NewDatabase()
 	for name, path := range data {
 		f, err := os.Open(path)
 		if err != nil {
@@ -64,7 +63,7 @@ func main() {
 			log.Fatal(err)
 		}
 		schemas[name] = in.Schema()
-		instances[name] = in
+		db.Add(in)
 	}
 
 	rf, err := os.Open(*rulesPath)
@@ -105,32 +104,28 @@ func main() {
 	}
 	if *validate {
 		fmt.Println("\n=== Validation (D ⊨ Σ) ===")
-		engine := detect.New(*workers)
-		byRel := make(map[string][]*cfd.CFD)
+		rulesOn := make(map[string]int)
 		for _, c := range rules {
-			byRel[c.Schema().Name()] = append(byRel[c.Schema().Name()], c)
+			rulesOn[c.Schema().Name()]++
 		}
-		names := make([]string, 0, len(instances))
-		for name := range instances {
-			names = append(names, name)
-		}
-		sort.Strings(names)
+		// One streamed pass over the whole database serves both outcomes
+		// without buffering or sorting violations that are only ever
+		// counted.
+		count := make(map[string]int)
+		detect.New(*workers).DetectBatchStream(db, detect.WrapCFDs(rules), func(v detect.Violation) {
+			count[detect.RelationOf(v)]++
+		})
 		dirty := false
-		for _, name := range names {
-			in, set := instances[name], byRel[name]
-			if len(set) == 0 {
+		for _, name := range db.Names() {
+			if rulesOn[name] == 0 {
 				continue
 			}
-			// One streamed pass serves both outcomes without buffering
-			// or sorting violations that are only ever counted.
-			count := 0
-			engine.DetectAllStream(in, set, func(cfd.Violation) { count++ })
-			if count == 0 {
-				fmt.Printf("%s: satisfies all %d rules\n", name, len(set))
+			if count[name] == 0 {
+				fmt.Printf("%s: satisfies all %d rules\n", name, rulesOn[name])
 				continue
 			}
 			dirty = true
-			fmt.Printf("%s: VIOLATED (%d violations; run dqdetect for the full report)\n", name, count)
+			fmt.Printf("%s: VIOLATED (%d violations; run dqdetect for the full report)\n", name, count[name])
 		}
 		if dirty {
 			os.Exit(1)

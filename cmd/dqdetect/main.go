@@ -12,8 +12,7 @@
 // Detection runs on the internal/detect engine: the whole database is
 // frozen once into a columnar DBSnapshot, rules of every class share
 // group indexes by (relation, position set), and per-rule work fans out
-// across a worker pool (-workers, default one per CPU). -legacy pins
-// the engine to the string-keyed index path for comparison runs.
+// across a worker pool (-workers, default one per CPU).
 // -rules is an alias of -cfds, kept for compatibility.
 //
 // -follow switches from one-shot batch detection to monitoring: after
@@ -137,7 +136,6 @@ func main() {
 	ecfdsPath := flag.String("ecfds", "", "eCFD rule file")
 	max := flag.Int("max", 0, "max violations to print per rule (0 = all)")
 	workers := flag.Int("workers", 0, "detection worker pool size (0 = one per CPU)")
-	legacy := flag.Bool("legacy", false, "use the string-keyed index path instead of columnar snapshots")
 	follow := flag.String("follow", "", "replay an update log through a stateful monitor after the initial report")
 	shards := flag.Int("shards", 1, "hash-partition the database across N shards (scatter-gather detection)")
 	shardKeys := shardKeyFlags{}
@@ -215,7 +213,7 @@ func main() {
 	// global re-sort. In -follow mode the monitor is seeded first and the
 	// initial report reads its violation set, so the full detection is
 	// paid exactly once.
-	engine := &detect.Engine{Workers: *workers, Legacy: *legacy}
+	engine := detect.New(*workers)
 
 	// -shards hash-partitions the database up front; detection and the
 	// -follow monitor then run the scatter-gather paths, byte-identical

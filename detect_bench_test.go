@@ -1,13 +1,12 @@
 package repro_test
 
-// Benchmarks for the internal/detect engine (DESIGN.md E22), four modes:
+// Benchmarks for the internal/detect engine (DESIGN.md E22), three modes:
 //
-//	seq       legacy cfd.DetectAll — one string-keyed index build per CFD
-//	shared    engine, 1 worker, string-keyed indexes shared per LHS group
-//	parallel  engine, one worker per CPU, string-keyed indexes
-//	codec     engine, 1 worker, columnar snapshot + CodeIndex (the
-//	          default engine path); the version-keyed snapshot cache is
-//	          warm, so this is the steady-state serving cost
+//	seq       string-keyed cfd.DetectAll — one index build per CFD
+//	codec     engine DetectBatch, 1 worker, over a one-relation
+//	          database: columnar snapshot + CodeIndex shared per LHS;
+//	          the version-keyed snapshot cache is warm, so this is the
+//	          steady-state serving cost
 //	codeccold codec with the cache defeated every iteration — the cost
 //	          of freezing, interning and indexing a batch from scratch
 //
@@ -22,7 +21,6 @@ package repro_test
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"repro/internal/cfd"
@@ -66,27 +64,15 @@ func BenchmarkEngineDetectAll(b *testing.B) {
 					cfd.DetectAll(in, sigma)
 				}
 			})
-			b.Run(fmt.Sprintf("n=%d/cfds=%d/shared", n, k), func(b *testing.B) {
-				b.ReportAllocs()
-				e := detect.NewLegacy(1)
-				for i := 0; i < b.N; i++ {
-					e.DetectAll(in, sigma)
-				}
-			})
-			b.Run(fmt.Sprintf("n=%d/cfds=%d/parallel", n, k), func(b *testing.B) {
-				b.ReportAllocs()
-				e := detect.NewLegacy(runtime.GOMAXPROCS(0))
-				for i := 0; i < b.N; i++ {
-					e.DetectAll(in, sigma)
-				}
-			})
+			db, cs := relation.NewDatabase(), detect.WrapCFDs(sigma)
+			db.Add(in)
 			b.Run(fmt.Sprintf("n=%d/cfds=%d/codec", n, k), func(b *testing.B) {
 				b.ReportAllocs()
 				e := detect.New(1)
-				e.DetectAll(in, sigma) // warm the snapshot cache: this mode measures steady state
+				e.DetectBatch(db, cs) // warm the snapshot cache: this mode measures steady state
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					e.DetectAll(in, sigma)
+					e.DetectBatch(db, cs)
 				}
 			})
 			// codeccold defeats the version-keyed snapshot cache with a
@@ -99,7 +85,7 @@ func BenchmarkEngineDetectAll(b *testing.B) {
 				v := t0[0]
 				for i := 0; i < b.N; i++ {
 					in.Update(0, 0, v)
-					e.DetectAll(in, sigma)
+					e.DetectBatch(db, cs)
 				}
 			})
 		}
@@ -150,9 +136,9 @@ func applyOps(b *testing.B, in *relation.Instance, ops []detect.DBOp) []relation
 //	         diffed on the touched groups only
 //	rebuild  invalidate-and-rebuild (PR 2's behavior after a mutation):
 //	         fresh snapshot freeze + column interning + index builds,
-//	         then DetectTouched on the batch
-//	full     fresh snapshot plus a full DetectAll — the batch-detection
-//	         baseline with no incremental machinery at all
+//	         then the touched CFD kernel on the batch
+//	full     fresh snapshot plus the full CFD kernel — the
+//	         batch-detection baseline with no incremental machinery
 //
 // across 100k/500k tuples × batch sizes {1, 10, 1000} × {1, 8, 64}
 // CFDs. The 500k tier is skipped under -short.
@@ -181,22 +167,25 @@ func BenchmarkMonitorIncr(b *testing.B) {
 				b.Run(fmt.Sprintf("n=%d/cfds=%d/batch=%d/rebuild", n, k, bs), func(b *testing.B) {
 					b.ReportAllocs()
 					in := gen.Customers(gen.CustomerConfig{N: n, Seed: 17, ErrorRate: 0.05})
-					e := detect.New(1)
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						touched := applyOps(b, in, incrOps(in, i, bs))
 						snap := relation.NewSnapshot(in) // nothing carried over
-						e.DetectTouchedOn(snap, sigma, touched)
+						for _, c := range sigma {
+							cfd.DetectTouchedWithSnapshot(snap, c, snap.CodeIndexOn(c.LHS()), touched)
+						}
 					}
 				})
 				b.Run(fmt.Sprintf("n=%d/cfds=%d/batch=%d/full", n, k, bs), func(b *testing.B) {
 					b.ReportAllocs()
 					in := gen.Customers(gen.CustomerConfig{N: n, Seed: 17, ErrorRate: 0.05})
-					e := detect.New(1)
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						applyOps(b, in, incrOps(in, i, bs))
-						e.DetectAllOn(relation.NewSnapshot(in), sigma)
+						snap := relation.NewSnapshot(in)
+						for _, c := range sigma {
+							cfd.DetectWithSnapshot(snap, c, snap.CodeIndexOn(c.LHS()))
+						}
 					}
 				})
 			}
@@ -206,8 +195,8 @@ func BenchmarkMonitorIncr(b *testing.B) {
 
 // BenchmarkEngineSatisfiesAll measures the early-cancel path: the dirty
 // instance violates the very first rule, so the engine's cancellation
-// skips almost the whole batch while the legacy loop at least pays one
-// full index build and scan per preceding clean rule.
+// skips almost the whole batch while the string-keyed loop at least
+// pays one full index build and scan per preceding clean rule.
 func BenchmarkEngineSatisfiesAll(b *testing.B) {
 	n := 100000
 	if testing.Short() {
@@ -221,20 +210,15 @@ func BenchmarkEngineSatisfiesAll(b *testing.B) {
 			cfd.SatisfiesAll(in, sigma)
 		}
 	})
-	b.Run("engine", func(b *testing.B) {
-		b.ReportAllocs()
-		e := detect.NewLegacy(0)
-		for i := 0; i < b.N; i++ {
-			e.SatisfiesAll(in, sigma)
-		}
-	})
 	b.Run("codec", func(b *testing.B) {
 		b.ReportAllocs()
+		db, cs := relation.NewDatabase(), detect.WrapCFDs(sigma)
+		db.Add(in)
 		e := detect.New(0)
-		e.SatisfiesAll(in, sigma) // warm the snapshot cache: this mode measures steady state
+		e.SatisfiesBatch(db, cs) // warm the snapshot cache: this mode measures steady state
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e.SatisfiesAll(in, sigma)
+			e.SatisfiesBatch(db, cs)
 		}
 	})
 }

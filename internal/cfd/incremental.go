@@ -17,14 +17,7 @@ import (
 // result is exactly Detect(in, c) filtered to groups touching the set —
 // at the cost of the touched groups only.
 func DetectTouched(in *relation.Instance, c *CFD, touched []relation.TID) []Violation {
-	return DetectTouchedWithIndex(in, c, relation.BuildIndex(in, c.lhs), touched)
-}
-
-// DetectTouchedWithIndex is DetectTouched over a caller-supplied index on
-// the CFD's LHS positions (rebuilt if built on different positions); the
-// batch engine uses it to share one index across an incremental batch.
-func DetectTouchedWithIndex(in *relation.Instance, c *CFD, ix *relation.Index, touched []relation.TID) []Violation {
-	ix = lhsIndex(in, c, ix)
+	ix := relation.BuildIndex(in, c.lhs)
 	var out []Violation
 
 	for rowIdx, row := range c.tableau {

@@ -68,14 +68,7 @@ func (v Violation) AppendTo(dst []byte) []byte {
 
 // Satisfies reports whether the instance satisfies the CFD (D ⊨ ϕ).
 func Satisfies(in *relation.Instance, c *CFD) bool {
-	return SatisfiesWithIndex(in, c, relation.BuildIndex(in, c.lhs))
-}
-
-// SatisfiesWithIndex is Satisfies over a caller-supplied LHS index,
-// letting batch engines build the index once and share it across every
-// CFD (and tableau row) with the same LHS position set.
-func SatisfiesWithIndex(in *relation.Instance, c *CFD, ix *relation.Index) bool {
-	return len(detect(in, c, lhsIndex(in, c, ix), modeFirstOnly)) == 0
+	return len(detect(in, c, relation.BuildIndex(in, c.lhs), modeFirstOnly)) == 0
 }
 
 // SatisfiesAll reports whether the instance satisfies every CFD in the set
@@ -95,24 +88,7 @@ func SatisfiesAll(in *relation.Instance, set []*CFD) bool {
 // size rather than quadratic), which is sufficient to locate every dirty
 // tuple.
 func Detect(in *relation.Instance, c *CFD) []Violation {
-	return DetectWithIndex(in, c, relation.BuildIndex(in, c.lhs))
-}
-
-// DetectWithIndex is Detect over a caller-supplied index on the CFD's LHS
-// positions; if the index was built on different positions it is rebuilt.
-// The engine in internal/detect uses this entry point to share one index
-// across all CFDs grouped on the same LHS position set.
-func DetectWithIndex(in *relation.Instance, c *CFD, ix *relation.Index) []Violation {
-	return detect(in, c, lhsIndex(in, c, ix), modeRepresentative)
-}
-
-// lhsIndex validates that ix is an index on c's LHS positions, rebuilding
-// it when it is not (or is nil).
-func lhsIndex(in *relation.Instance, c *CFD, ix *relation.Index) *relation.Index {
-	if ix == nil || !slices.Equal(ix.Positions(), c.lhs) {
-		return relation.BuildIndex(in, c.lhs)
-	}
-	return ix
+	return detect(in, c, relation.BuildIndex(in, c.lhs), modeRepresentative)
 }
 
 // DetectAll runs Detect for every CFD in the set and returns the combined
@@ -129,7 +105,7 @@ func DetectAll(in *relation.Instance, set []*CFD) []Violation {
 // SortViolations sorts a combined violation slice into the canonical
 // reporting order: (T1, T2, Attr, Row), stably, so violations of distinct
 // CFDs that tie on all four keys keep the Σ order they were gathered in.
-// Both DetectAll and the parallel engine in internal/detect merge through
+// Both DetectAll and the batch engine in internal/detect merge through
 // this comparator, which is what makes their outputs identical.
 func SortViolations(vs []Violation) {
 	sort.SliceStable(vs, func(i, j int) bool {
@@ -146,17 +122,21 @@ func SortViolations(vs []Violation) {
 	})
 }
 
-// DetectExhaustiveWithIndex is DetectWithIndex with exhaustive pair
-// reporting: where Detect reports each offending tuple once against its
-// group representative (linear in the group size, sufficient to locate
-// every dirty tuple), this variant emits a violation for every pair of
-// group members disagreeing on an RHS attribute (quadratic in the group
-// size). Conflict hypergraphs need the exhaustive form — with only
-// representative pairs, deleting the representative would disconnect
-// tuples that still conflict with each other. Output is sorted like
-// Detect, with pairs oriented T1 < T2.
+// DetectExhaustiveWithIndex is Detect over a caller-supplied index on
+// the CFD's LHS positions (built when nil or on other positions), with
+// exhaustive pair reporting: where Detect reports each offending tuple
+// once against its group representative (linear in the group size,
+// sufficient to locate every dirty tuple), this variant emits a
+// violation for every pair of group members disagreeing on an RHS
+// attribute (quadratic in the group size). Conflict hypergraphs need
+// the exhaustive form — with only representative pairs, deleting the
+// representative would disconnect tuples that still conflict with each
+// other. Output is sorted like Detect, with pairs oriented T1 < T2.
 func DetectExhaustiveWithIndex(in *relation.Instance, c *CFD, ix *relation.Index) []Violation {
-	return detect(in, c, lhsIndex(in, c, ix), modeExhaustive)
+	if ix == nil || !slices.Equal(ix.Positions(), c.lhs) {
+		ix = relation.BuildIndex(in, c.lhs)
+	}
+	return detect(in, c, ix, modeExhaustive)
 }
 
 // detectMode selects how detect reports pair violations.

@@ -70,25 +70,3 @@ func TestDetectAllOrdersByRow(t *testing.T) {
 		t.Fatalf("violations not ordered by Row: got rows %d, %d", vs[0].Row, vs[1].Row)
 	}
 }
-
-// DetectWithIndex must tolerate an index built on the wrong positions by
-// rebuilding it, so a buggy caller degrades to Detect instead of
-// returning garbage.
-func TestDetectWithIndexRebuildsOnMismatch(t *testing.T) {
-	s := relation.MustSchema("r",
-		relation.Attr("A", relation.KindString),
-		relation.Attr("B", relation.KindString),
-	)
-	in := relation.NewInstance(s)
-	in.MustInsert(relation.Str("a"), relation.Str("x"))
-	in.MustInsert(relation.Str("a"), relation.Str("y"))
-	key := MustFD(s, []string{"A"}, []string{"B"})
-	want := Detect(in, key)
-	wrong := relation.BuildIndex(in, []int{1}) // B, not the LHS
-	if got := DetectWithIndex(in, key, wrong); !reflect.DeepEqual(got, want) {
-		t.Fatalf("mismatched index not rebuilt: got %v, want %v", got, want)
-	}
-	if got := DetectWithIndex(in, key, nil); !reflect.DeepEqual(got, want) {
-		t.Fatalf("nil index not rebuilt: got %v, want %v", got, want)
-	}
-}

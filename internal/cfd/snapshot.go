@@ -7,8 +7,8 @@ import (
 // Snapshot-backed violation detection: the columnar fast path of the
 // detection engine. One body, detectSnap, runs over a relation.Scope —
 // every row for the full entry points, the rows of a touched TID list
-// for DetectTouchedWithSnapshot — and mirrors the *WithIndex primitives
-// exactly: same violations, same order.
+// for DetectTouchedWithSnapshot — and mirrors the string-keyed
+// detectors exactly: same violations, same order.
 //
 // Grouping and LHS pattern matching run entirely on dictionary codes:
 // pattern constants compile to codes once per tableau row
@@ -21,16 +21,16 @@ import (
 // interning a high-cardinality RHS column for a handful of comparisons
 // would cost more than the Value.Equal calls it replaces.
 //
-// The string-keyed path (Detect, DetectWithIndex, ...) remains the
-// compatibility/oracle path; randomized tests here and in
-// internal/detect assert byte-identical output between the two.
+// The string-keyed path (Detect, DetectAll, DetectTouched, ...) remains
+// the reference; randomized tests here and in internal/detect assert
+// byte-identical output between the two.
 
-// SatisfiesWithSnapshot is SatisfiesWithIndex on the columnar path.
+// SatisfiesWithSnapshot is Satisfies on the columnar path.
 func SatisfiesWithSnapshot(snap *relation.Snapshot, c *CFD, cx *relation.CodeIndex) bool {
 	return len(detectSnap(snap, c, cx, relation.FullScope(snap), modeFirstOnly)) == 0
 }
 
-// DetectWithSnapshot is DetectWithIndex on the columnar path: all
+// DetectWithSnapshot is Detect on the columnar path: all
 // violations of the CFD in the snapshotted instance, sorted by
 // (Row, T1, T2, Attr), pair violations against the group representative.
 func DetectWithSnapshot(snap *relation.Snapshot, c *CFD, cx *relation.CodeIndex) []Violation {
@@ -44,11 +44,11 @@ func DetectExhaustiveWithSnapshot(snap *relation.Snapshot, c *CFD, cx *relation.
 	return detectSnap(snap, c, cx, relation.FullScope(snap), modeExhaustive)
 }
 
-// DetectTouchedWithSnapshot is DetectTouchedWithIndex on the columnar
-// path: violations whose witnesses involve at least one touched tuple.
+// DetectTouchedWithSnapshot is DetectTouched on the columnar path:
+// violations whose witnesses involve at least one touched tuple.
 // Touched TIDs missing from the snapshot (deleted, or inserted after the
 // snapshot was built) are skipped, like TIDs missing from the instance
-// on the legacy path.
+// on the string-keyed path.
 func DetectTouchedWithSnapshot(snap *relation.Snapshot, c *CFD, cx *relation.CodeIndex, touched []relation.TID) []Violation {
 	return detectSnap(snap, c, cx, relation.TouchedScope(snap, touched), modeRepresentative)
 }

@@ -209,7 +209,7 @@ func randomTouched(r *rand.Rand) []relation.TID {
 // violations witnessed by a touched tuple — single-tuple violations of
 // touched tuples, pair violations in LHS groups holding a touched tuple
 // — with and without forced hash collisions, across constants missing
-// from the dictionary and NaN constants.
+// from the dictionary, NaN constants and NaN data.
 func TestKernelTouchedIsFilteredFull(t *testing.T) {
 	for _, collide := range []bool{false, true} {
 		t.Run(fmt.Sprintf("collide=%v", collide), func(t *testing.T) {
@@ -219,6 +219,10 @@ func TestKernelTouchedIsFilteredFull(t *testing.T) {
 			r := rand.New(rand.NewSource(17))
 			for round := 0; round < 20; round++ {
 				in := kernelInstance(r)
+				// A NaN LHS group whose RHS-NaN pair agrees on B but not
+				// on C; the NaN pattern constant below matches it.
+				in.MustInsert(relation.Float(math.NaN()), relation.Float(math.NaN()), relation.Str("y"))
+				in.MustInsert(relation.Float(math.NaN()), relation.Float(math.NaN()), relation.Str("x"))
 				s := in.Schema()
 				cfds := []*CFD{
 					MustFD(s, []string{"A"}, []string{"C"}),

@@ -118,10 +118,10 @@ func detect(src *relation.Snapshot, c *CIND, sc relation.Scope, srcIx *relation.
 // sequence. Source X codes translate to target Y codes through a
 // per-column memo (source code → target code), so a value shared by
 // many source groups pays the cross-dictionary lookup once. Yp
-// constants resolve to target codes per pattern row; there, unlike
-// Xp, NaN keys collide on purpose (the string-keyed probe puts every
-// NaN under one key, as the shared NaN code does), so only a dictionary
-// miss fails them — and then every probe of the row misses.
+// constants resolve to target codes per pattern row (a NaN constant
+// meets NaN data under the one shared NaN code, as the string-keyed
+// probe puts every NaN under one key), so only a dictionary miss fails
+// them — and then every probe of the row misses.
 type codeProbe struct {
 	src, dst *relation.Snapshot
 	c        *CIND

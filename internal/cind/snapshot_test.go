@@ -2,6 +2,7 @@ package cind_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -33,18 +34,25 @@ func snapDetect(db *relation.Database, c *cind.CIND) []cind.Violation {
 // both detectors and asserts byte-identical output per CIND, and
 // identical Satisfies verdicts.
 //
-// The last CIND's Xp constant is the int 2^53+1, and every database
+// bigPriceCIND's Xp constant is the int 2^53+1, and every database
 // holds an order priced at the float 2^53: the two differ (a float64
 // compare would equate them), so that order matches no pattern row.
+// nanPriceCIND's Xp constant is NaN, and every database holds two
+// NaN-priced orders: both match it, and the one whose title and NaN
+// price a NaN-priced book carries satisfies ϕ4, because NaN equals NaN.
 func TestSnapshotMatchesLegacy(t *testing.T) {
 	phi4, phi5, phi6 := figure4()
-	sigma := []*cind.CIND{phi4, phi5, phi6, bigPriceCIND()}
+	sigma := []*cind.CIND{phi4, phi5, phi6, bigPriceCIND(), nanPriceCIND()}
 	for _, seed := range []int64{1, 7, 23} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			db := gen.Orders(gen.OrdersConfig{Books: 40, CDs: 30, Orders: 300, Seed: seed, ViolationRate: 0.2})
 			db.MustInstance("order").MustInsert(relation.Str("big"), relation.Str("Unlisted Title"),
 				relation.Str("book"), relation.Float(1<<53))
+			nan := relation.Float(math.NaN())
+			db.MustInstance("order").MustInsert(relation.Str("nan1"), relation.Str("NaN Title"), relation.Str("book"), nan)
+			db.MustInstance("order").MustInsert(relation.Str("nan2"), relation.Str("Unlisted Title"), relation.Str("book"), nan)
+			db.MustInstance("book").MustInsert(relation.Str("nb-nan"), relation.Str("NaN Title"), nan, relation.Str("hard-cover"))
 			for round := 0; round < 8; round++ {
 				mutateOrders(r, db)
 				for i, c := range sigma {
@@ -72,6 +80,13 @@ func bigPriceCIND() *cind.CIND {
 	return cind.MustNew(paperdata.OrderSchema(), paperdata.BookSchema(),
 		[]string{"title"}, []string{"title"}, []string{"price"}, nil,
 		cind.PatternRow{XpVals: []relation.Value{relation.Int(1<<53 + 1)}})
+}
+
+// nanPriceCIND is order(title; price) ⊆ book(title) for the NaN price.
+func nanPriceCIND() *cind.CIND {
+	return cind.MustNew(paperdata.OrderSchema(), paperdata.BookSchema(),
+		[]string{"title"}, []string{"title"}, []string{"price"}, nil,
+		cind.PatternRow{XpVals: []relation.Value{relation.Float(math.NaN())}})
 }
 
 // mutateOrders applies a small random batch across the three relations:

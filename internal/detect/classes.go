@@ -11,9 +11,9 @@ import (
 
 // The three shipped Constraint implementations. Each is a thin adapter:
 // the scan work lives in each class package's one columnar detection
-// body, behind its *WithSnapshot entry points (and in its string-keyed
-// legacy twins), and the adapters wire those to the engine's shared
-// snapshots, shared indexes and touched-list protocol.
+// body, behind its *WithSnapshot entry points, and the adapters wire
+// those to the engine's shared snapshots, shared indexes and
+// touched-list protocol.
 
 // box lifts a class's typed violation slice into the mixed stream; any
 // class whose violation type satisfies Violation rides it unchanged.
@@ -41,14 +41,6 @@ func (w cfdConstraint) Eval(ctx *Ctx) []Violation {
 		return nil
 	}
 	return box(cfd.DetectWithSnapshot(snap, w.c, ctx.Index(w.Primary(), w.c.LHS())))
-}
-
-func (w cfdConstraint) EvalLegacy(db *relation.Database) []Violation {
-	in, ok := db.Instance(w.Primary())
-	if !ok {
-		return nil
-	}
-	return box(cfd.Detect(in, w.c))
 }
 
 func (w cfdConstraint) EvalTouched(ctx *Ctx, touched []relation.TID) []Violation {
@@ -87,14 +79,6 @@ func (w ecfdConstraint) Eval(ctx *Ctx) []Violation {
 		return nil
 	}
 	return box(ecfd.DetectWithSnapshot(snap, w.e, ctx.Index(w.Primary(), w.e.LHS())))
-}
-
-func (w ecfdConstraint) EvalLegacy(db *relation.Database) []Violation {
-	in, ok := db.Instance(w.Primary())
-	if !ok {
-		return nil
-	}
-	return box(ecfd.Detect(in, w.e))
 }
 
 func (w ecfdConstraint) EvalTouched(ctx *Ctx, touched []relation.TID) []Violation {
@@ -142,7 +126,7 @@ func (w cindConstraint) Reqs() []IndexReq {
 
 // snapshots resolves the CIND's source and target snapshots and shared
 // indexes; dst stays nil for a missing target relation (every probe
-// misses, like the empty instance the legacy path substitutes).
+// misses, like the empty instance cind.Detect substitutes).
 func (w cindConstraint) snapshots(ctx *Ctx) (src, dst *relation.Snapshot, srcIx, dstIx *relation.CodeIndex) {
 	src = ctx.Snapshot(w.c.Src().Name())
 	dst = ctx.Snapshot(w.c.Dst().Name())
@@ -158,10 +142,6 @@ func (w cindConstraint) snapshots(ctx *Ctx) (src, dst *relation.Snapshot, srcIx,
 func (w cindConstraint) Eval(ctx *Ctx) []Violation {
 	src, dst, srcIx, dstIx := w.snapshots(ctx)
 	return box(cind.DetectWithSnapshot(src, dst, w.c, srcIx, dstIx))
-}
-
-func (w cindConstraint) EvalLegacy(db *relation.Database) []Violation {
-	return box(cind.Detect(db, w.c))
 }
 
 // EvalTouched probes per touched tuple, so it requests the target index

@@ -16,7 +16,7 @@ import (
 // CFDs (the original engine workload), CINDs (two-relation inclusion
 // checks) and eCFDs (set-valued pattern cells) ship here; further
 // classes (MDs, denial constraints, discovered candidates) implement
-// the same five operations and ride the same engine.
+// the same interface and ride the same engine.
 //
 // A mixed batch evaluates through one shared relation.DBSnapshot: every
 // constraint of the batch reads the same consistent freeze of every
@@ -104,9 +104,6 @@ type Constraint interface {
 	Reqs() []IndexReq
 	// Eval returns the constraint's violations over the batch snapshot.
 	Eval(ctx *Ctx) []Violation
-	// EvalLegacy is Eval on the string-keyed oracle path, reading the
-	// live database instead of a snapshot.
-	EvalLegacy(db *relation.Database) []Violation
 	// EvalTouched restricts Eval to violations witnessed by the given
 	// primary-relation TIDs (ascending); TIDs absent from the snapshot
 	// are skipped.
@@ -235,7 +232,7 @@ func (e *Engine) planBatch(dbs *relation.DBSnapshot, cs []Constraint) *Ctx {
 // DetectBatch evaluates a mixed constraint batch over the database —
 // every constraint against one shared relation.DBSnapshot — and returns
 // all violations in the canonical mixed order (SortViolations). Its
-// per-class subsequences are byte-identical to the legacy per-class
+// per-class subsequences are byte-identical to the per-class reference
 // detectors (cfd.DetectAll / cind.DetectAll / ecfd.DetectAll).
 func (e *Engine) DetectBatch(db *relation.Database, cs []Constraint) []Violation {
 	return e.DetectBatchOn(relation.DBSnapshotOf(db), cs)
@@ -243,10 +240,7 @@ func (e *Engine) DetectBatch(db *relation.Database, cs []Constraint) []Violation
 
 // DetectBatchOn is DetectBatch evaluated on a caller-supplied database
 // snapshot (the maintained snapshot of a DBMonitor, or any freeze the
-// caller holds fixed across calls). On a Legacy engine constraints
-// evaluate on the string-keyed oracle path against the snapshot's
-// source database, which is only equivalent while the snapshot is
-// current.
+// caller holds fixed across calls, current or not).
 func (e *Engine) DetectBatchOn(dbs *relation.DBSnapshot, cs []Constraint) []Violation {
 	var out []Violation
 	e.DetectBatchStreamOn(dbs, cs, func(v Violation) { out = append(out, v) })
@@ -265,15 +259,8 @@ func (e *Engine) DetectBatchStream(db *relation.Database, cs []Constraint, sink 
 // DetectBatchStreamOn is DetectBatchStream on a caller-supplied
 // snapshot.
 func (e *Engine) DetectBatchStreamOn(dbs *relation.DBSnapshot, cs []Constraint, sink func(Violation)) {
-	eval := func(i int) []Violation { return nil }
-	if e.legacy() {
-		db := dbs.Source()
-		eval = func(i int) []Violation { return cs[i].EvalLegacy(db) }
-	} else {
-		ctx := e.planBatch(dbs, cs)
-		eval = func(i int) []Violation { return cs[i].Eval(ctx) }
-	}
-	runOrdered(e.workers(), len(cs), eval, func(vs []Violation) {
+	ctx := e.planBatch(dbs, cs)
+	runOrdered(e.workers(), len(cs), func(i int) []Violation { return cs[i].Eval(ctx) }, func(vs []Violation) {
 		for _, v := range vs {
 			sink(v)
 		}
@@ -301,15 +288,6 @@ func (e *Engine) DetectBatchTouchedOn(dbs *relation.DBSnapshot, cs []Constraint,
 // constraint of the batch, cancelling outstanding work at the first
 // violation any worker finds.
 func (e *Engine) SatisfiesBatch(db *relation.Database, cs []Constraint) bool {
-	if e.legacy() {
-		// The string-keyed path never reads the snapshot; building one
-		// here would charge the legacy configuration for a columnar
-		// freeze it exists to be compared against.
-		ok, _ := runCancel(e.workers(), len(cs), func(i int) bool {
-			return len(cs[i].EvalLegacy(db)) == 0
-		})
-		return ok
-	}
 	return e.SatisfiesBatchOn(relation.DBSnapshotOf(db), cs)
 }
 
@@ -318,22 +296,18 @@ func (e *Engine) SatisfiesBatch(db *relation.Database, cs []Constraint) bool {
 // serve-layer published state) without freezing the live database
 // again, and without ever reading the mutable instances: safe to run
 // concurrently with a writer mutating the snapshot's source database.
-// On a Legacy engine the constraints fall back to the string-keyed path
-// against the snapshot's source, which is only equivalent (and only
-// safe) while the snapshot is current and the database quiescent.
 func (e *Engine) SatisfiesBatchOn(dbs *relation.DBSnapshot, cs []Constraint) bool {
-	if e.legacy() {
-		db := dbs.Source()
-		ok, _ := runCancel(e.workers(), len(cs), func(i int) bool {
-			return len(cs[i].EvalLegacy(db)) == 0
-		})
-		return ok
-	}
+	ok, _ := e.satisfiesBatchOn(dbs, cs)
+	return ok
+}
+
+// satisfiesBatchOn additionally reports how many constraints were
+// actually evaluated, which the tests use to observe early cancellation.
+func (e *Engine) satisfiesBatchOn(dbs *relation.DBSnapshot, cs []Constraint) (bool, int64) {
 	ctx := e.planBatch(dbs, cs)
-	ok, _ := runCancel(e.workers(), len(cs), func(i int) bool {
+	return runCancel(e.workers(), len(cs), func(i int) bool {
 		return cs[i].Satisfied(ctx)
 	})
-	return ok
 }
 
 // SigmaOf maps each wrapped dependency to its first batch position —
@@ -453,7 +427,7 @@ func cmpOrder(less bool) int {
 // with ties broken by Σ position (sigma maps each dependency to its
 // batch index; see SigmaOf). Restricted to one class it reproduces that
 // class's own SortViolations order, which is what keeps DetectBatch's
-// per-class subsequences byte-identical to the legacy detectors.
+// per-class subsequences byte-identical to the reference detectors.
 func SortViolations(vs []Violation, sigma map[any]int) {
 	sort.SliceStable(vs, func(i, j int) bool {
 		return CompareViolations(vs[i], vs[j], sigma) < 0

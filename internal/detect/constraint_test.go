@@ -63,8 +63,8 @@ func wrapMixed(cfds []*cfd.CFD, cinds []*cind.CIND, ecfds []*ecfd.ECFD) []Constr
 
 // TestDetectBatchMatchesClassDetectors is the acceptance assertion: a
 // mixed CFD+CIND+eCFD batch through one shared DBSnapshot splits into
-// per-class streams byte-identical to the legacy per-class detectors,
-// on every worker count and on the Legacy engine.
+// per-class streams byte-identical to the per-class reference
+// detectors, on every worker count.
 func TestDetectBatchMatchesClassDetectors(t *testing.T) {
 	cfds, cinds, ecfds := mixedSigma()
 	cs := wrapMixed(cfds, cinds, ecfds)
@@ -75,25 +75,19 @@ func TestDetectBatchMatchesClassDetectors(t *testing.T) {
 		wantCIND := cind.DetectAll(db, cinds)
 		wantECFD := ecfd.DetectAll(order, ecfds)
 		for _, workers := range []int{1, 2, 8} {
-			for _, legacy := range []bool{false, true} {
-				e := &Engine{Workers: workers, Legacy: legacy}
-				got := e.DetectBatch(db, cs)
-				gotCFD, gotCIND, gotECFD := SplitViolations(got)
-				if !reflect.DeepEqual(gotCFD, wantCFD) {
-					t.Fatalf("seed %d workers %d legacy %v: CFD stream diverges:\ngot  %v\nwant %v",
-						seed, workers, legacy, gotCFD, wantCFD)
-				}
-				if !reflect.DeepEqual(gotCIND, wantCIND) {
-					t.Fatalf("seed %d workers %d legacy %v: CIND stream diverges:\ngot  %v\nwant %v",
-						seed, workers, legacy, gotCIND, wantCIND)
-				}
-				if !reflect.DeepEqual(gotECFD, wantECFD) {
-					t.Fatalf("seed %d workers %d legacy %v: eCFD stream diverges:\ngot  %v\nwant %v",
-						seed, workers, legacy, gotECFD, wantECFD)
-				}
-				if len(got) != len(wantCFD)+len(wantCIND)+len(wantECFD) {
-					t.Fatalf("seed %d: mixed batch dropped violations", seed)
-				}
+			got := New(workers).DetectBatch(db, cs)
+			gotCFD, gotCIND, gotECFD := SplitViolations(got)
+			if !reflect.DeepEqual(gotCFD, wantCFD) {
+				t.Fatalf("seed %d workers %d: CFD stream diverges:\ngot  %v\nwant %v", seed, workers, gotCFD, wantCFD)
+			}
+			if !reflect.DeepEqual(gotCIND, wantCIND) {
+				t.Fatalf("seed %d workers %d: CIND stream diverges:\ngot  %v\nwant %v", seed, workers, gotCIND, wantCIND)
+			}
+			if !reflect.DeepEqual(gotECFD, wantECFD) {
+				t.Fatalf("seed %d workers %d: eCFD stream diverges:\ngot  %v\nwant %v", seed, workers, gotECFD, wantECFD)
+			}
+			if len(got) != len(wantCFD)+len(wantCIND)+len(wantECFD) {
+				t.Fatalf("seed %d: mixed batch dropped violations", seed)
 			}
 		}
 	}
@@ -169,7 +163,7 @@ func TestSatisfiesBatch(t *testing.T) {
 		db := gen.Orders(gen.OrdersConfig{Books: 30, CDs: 20, Orders: 200, Seed: 3, ViolationRate: rate})
 		order := db.MustInstance("order")
 		want := cfd.SatisfiesAll(order, cfds) && cind.SatisfiesAll(db, cinds) && ecfd.SatisfiesAll(order, ecfds)
-		for _, e := range []*Engine{New(1), New(4), NewLegacy(2)} {
+		for _, e := range []*Engine{New(1), New(4)} {
 			if got := e.SatisfiesBatch(db, cs); got != want {
 				t.Fatalf("rate %v: SatisfiesBatch = %v, want %v", rate, got, want)
 			}

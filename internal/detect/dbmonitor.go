@@ -63,8 +63,7 @@ func UpdateIn(rel string, id relation.TID, pos int, v relation.Value) DBOp {
 // NewDBMonitor builds a monitor over the database and mixed constraint
 // batch, paying one full detection to seed the violation set (and,
 // through it, the DBSnapshot and every shared group index the steady
-// state will reuse). A nil engine gets the default configuration; a
-// Legacy engine is silently upgraded to the columnar path.
+// state will reuse). A nil engine gets the default configuration.
 func NewDBMonitor(e *Engine, db *relation.Database, cs []Constraint) *DBMonitor {
 	m := &DBMonitor{monitorCore: newMonitorCore(e, cs), db: db, dbs: relation.DBSnapshotOf(db)}
 	m.seed([][]Violation{m.engine.DetectBatchOn(m.dbs, cs)})

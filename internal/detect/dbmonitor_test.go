@@ -519,21 +519,6 @@ func TestDBMonitorBadOp(t *testing.T) {
 	}
 }
 
-// TestDBMonitorLegacyEngineUpgraded pins the constructor contract: a
-// Legacy engine is upgraded to the columnar path rather than silently
-// detecting the pre-batch state against the mutated database.
-func TestDBMonitorLegacyEngineUpgraded(t *testing.T) {
-	db := gen.Orders(gen.OrdersConfig{Books: 5, CDs: 5, Orders: 20, Seed: 1, ViolationRate: 0.2})
-	_, cinds, _ := mixedSigma()
-	m := NewDBMonitor(NewLegacy(3), db, WrapCINDs(cinds))
-	if m.Engine().Legacy {
-		t.Fatal("DBMonitor must upgrade a Legacy engine")
-	}
-	if m.Engine().Workers != 3 {
-		t.Fatal("worker count should carry over")
-	}
-}
-
 // The TestMonitor* tests run the monitor over a one-relation database:
 // the paper's customer instance under the Figure 2 CFDs, churned by
 // randomCustomerOp.
@@ -618,20 +603,6 @@ func TestMonitorExternalMutations(t *testing.T) {
 	}
 	if m.FullSyncs() != 0 {
 		t.Fatalf("external mutations within the changelog forced %d full resyncs", m.FullSyncs())
-	}
-}
-
-// TestMonitorLegacyEngineUpgraded: a Legacy engine handed to a monitor
-// over a single relation is upgraded to the columnar path, keeping its
-// worker count.
-func TestMonitorLegacyEngineUpgraded(t *testing.T) {
-	db, _, cs := customerDB(50, 2, 0.1)
-	m := NewDBMonitor(NewLegacy(3), db, cs)
-	if m.Engine().Legacy {
-		t.Fatal("monitor kept the legacy engine")
-	}
-	if m.Engine().Workers != 3 {
-		t.Fatalf("monitor dropped the worker count: %d", m.Engine().Workers)
 	}
 }
 

@@ -7,10 +7,13 @@ import (
 	"testing"
 
 	"repro/internal/cfd"
-	"repro/internal/gen"
 	"repro/internal/paperdata"
 	"repro/internal/relation"
 )
+
+// The tests here pin the engine's CFD-only behaviour on the batch API —
+// a one-relation database under CFDs wrapped as Constraints — against
+// the string-keyed reference detectors of package cfd.
 
 // sigmaFigure2 is the paper's Figure 2 rule set plus the plain FDs of
 // Figure 1 — five CFDs over three distinct LHS position sets, so the plan
@@ -25,26 +28,44 @@ func sigmaFigure2(s *relation.Schema) []*cfd.CFD {
 	}
 }
 
-// legacyDetectAll is the reference result: the sequential per-CFD path.
-func legacyDetectAll(in *relation.Instance, set []*cfd.CFD) []cfd.Violation {
-	return cfd.DetectAll(in, set)
+// dbOf wraps one instance as a database.
+func dbOf(in *relation.Instance) *relation.Database {
+	db := relation.NewDatabase()
+	db.Add(in)
+	return db
+}
+
+// cfdsOf keeps the CFD violations of a batch result, in order.
+func cfdsOf(vs []Violation) []cfd.Violation {
+	out, _, _ := SplitViolations(vs)
+	return out
+}
+
+// sigmaOfBatch unwraps a CFD-only batch.
+func sigmaOfBatch(cs []Constraint) []*cfd.CFD {
+	out := make([]*cfd.CFD, len(cs))
+	for i, c := range cs {
+		out[i] = c.Dep().(*cfd.CFD)
+	}
+	return out
+}
+
+// touchedFor repeats one touched list for every constraint of the batch.
+func touchedFor(cs []Constraint, touched []relation.TID) [][]relation.TID {
+	out := make([][]relation.TID, len(cs))
+	for i := range out {
+		out[i] = touched
+	}
+	return out
 }
 
 func TestPlanSharesIndexes(t *testing.T) {
-	in := gen.Customers(gen.CustomerConfig{N: 50, Seed: 1, ErrorRate: 0.1})
-	sigma := sigmaFigure2(in.Schema())
-	tasks := New(0).plan(in, sigma)
-	if len(tasks) != len(sigma) {
-		t.Fatalf("plan made %d tasks, want %d", len(tasks), len(sigma))
-	}
-	distinct := make(map[*sharedIndex]bool)
-	for _, tk := range tasks {
-		distinct[tk.ix] = true
-	}
+	db, _, cs := customerDB(50, 1, 0.1)
+	ctx := New(0).planBatch(relation.DBSnapshotOf(db), cs)
 	// F1/Phi2 share [CC, AC, phn]; F2/Phi3 share [CC, AC]; Phi1 alone
 	// uses [CC, zip]: 3 indexes for 5 CFDs.
-	if len(distinct) != 3 {
-		t.Fatalf("plan built %d shared indexes, want 3", len(distinct))
+	if len(ctx.idx) != 3 {
+		t.Fatalf("plan built %d shared indexes, want 3", len(ctx.idx))
 	}
 }
 
@@ -53,12 +74,11 @@ func TestDetectAllMatchesLegacy(t *testing.T) {
 		for _, rate := range []float64{0, 0.05, 0.3} {
 			for _, workers := range []int{1, 2, 8} {
 				t.Run(fmt.Sprintf("n=%d/rate=%.2f/workers=%d", n, rate, workers), func(t *testing.T) {
-					in := gen.Customers(gen.CustomerConfig{N: n, Seed: int64(n) + 7, ErrorRate: rate})
-					sigma := sigmaFigure2(in.Schema())
-					want := legacyDetectAll(in, sigma)
-					got := New(workers).DetectAll(in, sigma)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("engine output diverges from legacy path:\n got %d violations\nwant %d violations", len(got), len(want))
+					db, in, cs := customerDB(n, int64(n)+7, rate)
+					want := cfd.DetectAll(in, sigmaOfBatch(cs))
+					got := New(workers).DetectBatch(db, cs)
+					if !reflect.DeepEqual(cfdsOf(got), want) || len(got) != len(want) {
+						t.Fatalf("engine output diverges from cfd.DetectAll:\n got %d violations\nwant %d violations", len(got), len(want))
 					}
 				})
 			}
@@ -67,12 +87,11 @@ func TestDetectAllMatchesLegacy(t *testing.T) {
 }
 
 func TestDetectAllDeterministic(t *testing.T) {
-	in := gen.Customers(gen.CustomerConfig{N: 1500, Seed: 42, ErrorRate: 0.2})
-	sigma := sigmaFigure2(in.Schema())
+	db, _, cs := customerDB(1500, 42, 0.2)
 	e := New(8)
-	first := e.DetectAll(in, sigma)
+	first := e.DetectBatch(db, cs)
 	for i := 0; i < 5; i++ {
-		again := e.DetectAll(in, sigma)
+		again := e.DetectBatch(db, cs)
 		if !reflect.DeepEqual(first, again) {
 			t.Fatalf("run %d produced a different slice", i)
 		}
@@ -80,12 +99,11 @@ func TestDetectAllDeterministic(t *testing.T) {
 }
 
 func TestStreamOrderDeterministic(t *testing.T) {
-	in := gen.Customers(gen.CustomerConfig{N: 1500, Seed: 3, ErrorRate: 0.2})
-	sigma := sigmaFigure2(in.Schema())
+	db, in, cs := customerDB(1500, 3, 0.2)
 	e := New(8)
-	collect := func() []cfd.Violation {
-		var out []cfd.Violation
-		e.DetectAllStream(in, sigma, func(v cfd.Violation) { out = append(out, v) })
+	collect := func() []Violation {
+		var out []Violation
+		e.DetectBatchStream(db, cs, func(v Violation) { out = append(out, v) })
 		return out
 	}
 	first := collect()
@@ -94,10 +112,11 @@ func TestStreamOrderDeterministic(t *testing.T) {
 			t.Fatalf("stream %d delivered a different order", i)
 		}
 	}
-	// The stream is the Σ-ordered concatenation of per-CFD Detect results.
-	var want []cfd.Violation
-	for _, c := range sigma {
-		want = append(want, cfd.Detect(in, c)...)
+	// The stream is the Σ-ordered concatenation of per-CFD Detect
+	// results: each CFD's violations arrive as one contiguous run.
+	var want []Violation
+	for _, c := range sigmaOfBatch(cs) {
+		want = append(want, box(cfd.Detect(in, c))...)
 	}
 	if !reflect.DeepEqual(first, want) {
 		t.Fatalf("stream order is not the Σ-ordered concatenation of Detect results")
@@ -107,11 +126,10 @@ func TestStreamOrderDeterministic(t *testing.T) {
 func TestSatisfiesAllAgrees(t *testing.T) {
 	for _, rate := range []float64{0, 0.1} {
 		for _, workers := range []int{1, 2, 8} {
-			in := gen.Customers(gen.CustomerConfig{N: 400, Seed: 11, ErrorRate: rate})
-			sigma := sigmaFigure2(in.Schema())
-			want := cfd.SatisfiesAll(in, sigma)
-			if got := New(workers).SatisfiesAll(in, sigma); got != want {
-				t.Fatalf("rate=%v workers=%d: engine says %v, legacy says %v", rate, workers, got, want)
+			db, in, cs := customerDB(400, 11, rate)
+			want := cfd.SatisfiesAll(in, sigmaOfBatch(cs))
+			if got := New(workers).SatisfiesBatch(db, cs); got != want {
+				t.Fatalf("rate=%v workers=%d: engine says %v, cfd.SatisfiesAll says %v", rate, workers, got, want)
 			}
 		}
 	}
@@ -131,7 +149,8 @@ func TestSatisfiesAllEarlyCancel(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		sigma = append(sigma, cfd.MustFD(s, []string{"A"}, []string{"B"}))
 	}
-	ok, evaluated := New(1).satisfiesAll(in, sigma)
+	dbs, cs := relation.DBSnapshotOf(dbOf(in)), WrapCFDs(sigma)
+	ok, evaluated := New(1).satisfiesBatchOn(dbs, cs)
 	if ok {
 		t.Fatal("instance satisfies a violated key")
 	}
@@ -140,7 +159,7 @@ func TestSatisfiesAllEarlyCancel(t *testing.T) {
 	}
 	// With many workers the count may exceed 1 (in-flight tasks finish)
 	// but cancellation must still keep it well below the full batch.
-	ok, evaluated = New(4).satisfiesAll(in, sigma)
+	ok, evaluated = New(4).satisfiesBatchOn(dbs, cs)
 	if ok {
 		t.Fatal("parallel run missed the violation")
 	}
@@ -150,8 +169,7 @@ func TestSatisfiesAllEarlyCancel(t *testing.T) {
 }
 
 func TestDetectTouchedMatchesLegacy(t *testing.T) {
-	in := gen.Customers(gen.CustomerConfig{N: 800, Seed: 23, ErrorRate: 0})
-	sigma := sigmaFigure2(in.Schema())
+	db, in, cs := customerDB(800, 23, 0)
 	street := in.Schema().MustLookup("street")
 	city := in.Schema().MustLookup("city")
 	in.Update(3, street, relation.Str("Wrong St"))
@@ -159,38 +177,36 @@ func TestDetectTouchedMatchesLegacy(t *testing.T) {
 	touched := []relation.TID{3, 10}
 
 	var want []cfd.Violation
-	for _, c := range sigma {
+	for _, c := range sigmaOfBatch(cs) {
 		want = append(want, cfd.DetectTouched(in, c, touched)...)
 	}
 	cfd.SortViolations(want)
 
 	for _, workers := range []int{1, 2, 8} {
-		got := New(workers).DetectTouched(in, sigma, touched)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: incremental batch diverges from legacy path", workers)
+		got := New(workers).DetectBatchTouchedOn(relation.DBSnapshotOf(db), cs, touchedFor(cs, touched))
+		if !reflect.DeepEqual(cfdsOf(got), want) {
+			t.Fatalf("workers=%d: incremental batch diverges from cfd.DetectTouched", workers)
 		}
 	}
 }
 
-// TestCodecMatchesLegacyEngine pits the default snapshot/CodeIndex path
-// against the string-keyed oracle path on randomized instances across
-// every engine entry point; outputs must be byte-identical.
+// TestCodecMatchesLegacyEngine pits the engine's columnar snapshot/
+// CodeIndex path against the string-keyed reference detectors on
+// randomized instances across every CFD-relevant batch entry point;
+// outputs must be byte-identical.
 func TestCodecMatchesLegacyEngine(t *testing.T) {
 	for _, n := range []int{0, 1, 200, 1500} {
 		for _, rate := range []float64{0, 0.05, 0.3} {
 			for _, workers := range []int{1, 4} {
 				t.Run(fmt.Sprintf("n=%d/rate=%.2f/workers=%d", n, rate, workers), func(t *testing.T) {
-					in := gen.Customers(gen.CustomerConfig{N: n, Seed: int64(n)*31 + 5, ErrorRate: rate})
-					sigma := sigmaFigure2(in.Schema())
-					codec, legacy := New(workers), NewLegacy(workers)
-					if got, want := codec.DetectAll(in, sigma), legacy.DetectAll(in, sigma); !reflect.DeepEqual(got, want) {
-						t.Fatalf("DetectAll diverges: %d vs %d violations", len(got), len(want))
+					db, in, cs := customerDB(n, int64(n)*31+5, rate)
+					sigma := sigmaOfBatch(cs)
+					e := New(workers)
+					if got, want := cfdsOf(e.DetectBatch(db, cs)), cfd.DetectAll(in, sigma); !reflect.DeepEqual(got, want) {
+						t.Fatalf("DetectBatch diverges: %d vs %d violations", len(got), len(want))
 					}
-					if got, want := codec.DetectAllExhaustive(in, sigma), legacy.DetectAllExhaustive(in, sigma); !reflect.DeepEqual(got, want) {
-						t.Fatalf("DetectAllExhaustive diverges: %d vs %d violations", len(got), len(want))
-					}
-					if got, want := codec.SatisfiesAll(in, sigma), legacy.SatisfiesAll(in, sigma); got != want {
-						t.Fatalf("SatisfiesAll diverges: codec %v, legacy %v", got, want)
+					if got, want := e.SatisfiesBatch(db, cs), cfd.SatisfiesAll(in, sigma); got != want {
+						t.Fatalf("SatisfiesBatch diverges: engine %v, reference %v", got, want)
 					}
 					var touched []relation.TID
 					for _, id := range in.IDs() {
@@ -198,8 +214,14 @@ func TestCodecMatchesLegacyEngine(t *testing.T) {
 							touched = append(touched, id)
 						}
 					}
-					if got, want := codec.DetectTouched(in, sigma, touched), legacy.DetectTouched(in, sigma, touched); !reflect.DeepEqual(got, want) {
-						t.Fatalf("DetectTouched diverges: %d vs %d violations", len(got), len(want))
+					var want []cfd.Violation
+					for _, c := range sigma {
+						want = append(want, cfd.DetectTouched(in, c, touched)...)
+					}
+					cfd.SortViolations(want)
+					got := cfdsOf(e.DetectBatchTouchedOn(relation.DBSnapshotOf(db), cs, touchedFor(cs, touched)))
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("DetectBatchTouchedOn diverges: %d vs %d violations", len(got), len(want))
 					}
 				})
 			}
@@ -207,10 +229,10 @@ func TestCodecMatchesLegacyEngine(t *testing.T) {
 	}
 }
 
-// TestDetectionAfterUpdateRebuilds asserts the staleness contract: the
-// engine snapshots per call, so detection after an Update reflects the
-// new data rather than stale groups, and a snapshot taken before the
-// update is detectably stale.
+// TestDetectionAfterUpdateRebuilds asserts the staleness contract:
+// DetectBatch freezes the database per call, so detection after an
+// Update reflects the new data rather than stale groups, while
+// DetectBatchOn keeps reading the frozen snapshot it is handed.
 func TestDetectionAfterUpdateRebuilds(t *testing.T) {
 	s := relation.MustSchema("r",
 		relation.Attr("A", relation.KindString),
@@ -220,77 +242,87 @@ func TestDetectionAfterUpdateRebuilds(t *testing.T) {
 	in.MustInsert(relation.Str("a"), relation.Str("x"))
 	in.MustInsert(relation.Str("a"), relation.Str("x"))
 	sigma := []*cfd.CFD{cfd.MustFD(s, []string{"A"}, []string{"B"})}
+	db, cs := dbOf(in), WrapCFDs(sigma)
 	e := New(2)
-	if vs := e.DetectAll(in, sigma); len(vs) != 0 {
+	if vs := e.DetectBatch(db, cs); len(vs) != 0 {
 		t.Fatalf("clean instance yielded %d violations", len(vs))
 	}
-	snap := relation.NewSnapshot(in)
+	before := relation.DBSnapshotOf(db)
 	if err := in.Update(1, 1, relation.Str("y")); err != nil {
 		t.Fatal(err)
 	}
-	if !snap.Stale() {
+	if snap, _ := before.Snapshot("r"); !snap.Stale() {
 		t.Fatal("pre-update snapshot not reported stale")
 	}
-	got := e.DetectAll(in, sigma)
+	got := e.DetectBatch(db, cs)
 	if len(got) == 0 {
 		t.Fatal("detection after update found nothing: engine read stale groups")
 	}
-	want := cfd.DetectAll(in, sigma)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("post-update engine output diverges from legacy: %d vs %d", len(got), len(want))
+	if want := cfd.DetectAll(in, sigma); !reflect.DeepEqual(cfdsOf(got), want) {
+		t.Fatalf("post-update engine output diverges from cfd.DetectAll: %d vs %d", len(got), len(want))
+	}
+	if vs := e.DetectBatchOn(before, cs); len(vs) != 0 {
+		t.Fatalf("the pre-update snapshot yielded %d violations: DetectBatchOn read the live instance", len(vs))
 	}
 }
 
 // TestCodecMatchesLegacyOnNaN pins the NaN corner: the dictionary folds
-// all NaN data values onto one code (like Value.Key on the legacy path),
-// so NaN-keyed LHS groups form, while Value.Equal-based RHS comparison
-// still treats NaN ≠ NaN — the two paths must agree exactly.
+// all NaN data values onto one code (like Value.Key on the string-keyed
+// path), and Value.Equal treats NaN as equal to NaN, so NaN-keyed LHS
+// groups form and two NaN RHS cells agree — the engine and cfd.DetectAll
+// must agree exactly.
 func TestCodecMatchesLegacyOnNaN(t *testing.T) {
 	s := relation.MustSchema("r",
 		relation.Attr("A", relation.KindFloat),
 		relation.Attr("B", relation.KindString),
+		relation.Attr("C", relation.KindFloat),
 	)
 	in := relation.NewInstance(s)
 	nan := math.NaN()
-	in.MustInsert(relation.Float(nan), relation.Str("x"))
-	in.MustInsert(relation.Float(nan), relation.Str("y"))
-	in.MustInsert(relation.Float(2.5), relation.Str("x"))
-	sigma := []*cfd.CFD{cfd.MustFD(s, []string{"A"}, []string{"B"})}
-	want := NewLegacy(1).DetectAll(in, sigma)
-	got := New(1).DetectAll(in, sigma)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("NaN handling diverges: codec %d violations, legacy %d", len(got), len(want))
+	in.MustInsert(relation.Float(nan), relation.Str("x"), relation.Float(nan))
+	in.MustInsert(relation.Float(nan), relation.Str("y"), relation.Float(nan))
+	in.MustInsert(relation.Float(2.5), relation.Str("x"), relation.Float(1))
+	sigma := []*cfd.CFD{
+		cfd.MustFD(s, []string{"A"}, []string{"B"}),
+		cfd.MustFD(s, []string{"A"}, []string{"C"}), // the RHS-NaN pair agrees
 	}
-	if len(want) != 1 {
-		t.Fatalf("legacy oracle found %d violations, want 1 (the NaN pair disagreeing on B)", len(want))
+	want := cfd.DetectAll(in, sigma)
+	got := New(1).DetectBatch(dbOf(in), WrapCFDs(sigma))
+	if !reflect.DeepEqual(cfdsOf(got), want) {
+		t.Fatalf("NaN handling diverges: engine %v, cfd.DetectAll %v", got, want)
+	}
+	if len(want) != 1 || want[0].CFD != sigma[0] {
+		t.Fatalf("cfd.DetectAll found %v, want only the NaN pair disagreeing on B", want)
 	}
 }
 
-// TestNilEngine pins the PR 1 contract that a nil *Engine behaves like
-// the zero value on every entry point.
+// TestNilEngine pins the contract that a nil *Engine behaves like the
+// zero value on every entry point.
 func TestNilEngine(t *testing.T) {
-	in := gen.Customers(gen.CustomerConfig{N: 50, Seed: 1, ErrorRate: 0.1})
-	sigma := sigmaFigure2(in.Schema())
+	db, in, cs := customerDB(50, 1, 0.1)
+	sigma := sigmaOfBatch(cs)
 	var e *Engine
-	want := cfd.DetectAll(in, sigma)
-	if got := e.DetectAll(in, sigma); !reflect.DeepEqual(got, want) {
-		t.Fatal("nil engine DetectAll diverges from legacy")
+	if got := e.DetectBatch(db, cs); !reflect.DeepEqual(cfdsOf(got), cfd.DetectAll(in, sigma)) {
+		t.Fatal("nil engine DetectBatch diverges from cfd.DetectAll")
 	}
-	if e.SatisfiesAll(in, sigma) != cfd.SatisfiesAll(in, sigma) {
-		t.Fatal("nil engine SatisfiesAll diverges from legacy")
+	if e.SatisfiesBatch(db, cs) != cfd.SatisfiesAll(in, sigma) {
+		t.Fatal("nil engine SatisfiesBatch diverges from cfd.SatisfiesAll")
+	}
+	if got := e.DetectBatchTouchedOn(relation.DBSnapshotOf(db), cs, touchedFor(cs, in.IDs())); !reflect.DeepEqual(cfdsOf(got), cfd.DetectAll(in, sigma)) {
+		t.Fatal("nil engine DetectBatchTouchedOn over every TID diverges from cfd.DetectAll")
 	}
 }
 
 func TestEmptyBatch(t *testing.T) {
-	in := gen.Customers(gen.CustomerConfig{N: 10, Seed: 1, ErrorRate: 0})
+	db, _, _ := customerDB(10, 1, 0)
 	e := New(0)
-	if vs := e.DetectAll(in, nil); len(vs) != 0 {
+	if vs := e.DetectBatch(db, nil); len(vs) != 0 {
 		t.Fatalf("empty Σ produced %d violations", len(vs))
 	}
-	if !e.SatisfiesAll(in, nil) {
+	if !e.SatisfiesBatch(db, nil) {
 		t.Fatal("every instance satisfies the empty Σ")
 	}
-	if vs := e.DetectTouched(in, nil, []relation.TID{0}); len(vs) != 0 {
+	if vs := e.DetectBatchTouchedOn(relation.DBSnapshotOf(db), nil, nil); len(vs) != 0 {
 		t.Fatalf("empty Σ produced %d incremental violations", len(vs))
 	}
 }

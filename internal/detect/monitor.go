@@ -60,16 +60,10 @@ type monitorCore struct {
 }
 
 // newMonitorCore is the constructor prologue: a nil engine gets the
-// default configuration, and a Legacy engine is silently upgraded to
-// the columnar path, which the monitors require (their pre-batch
-// detection must run against frozen snapshots, not the already-mutated
-// instances).
+// default configuration.
 func newMonitorCore(e *Engine, cs []Constraint) monitorCore {
 	if e == nil {
 		e = New(0)
-	}
-	if e.Legacy {
-		e = &Engine{Workers: e.Workers}
 	}
 	c := monitorCore{engine: e, cs: cs, sigma: SigmaOf(cs)}
 	seen := make(map[string]bool)

@@ -273,8 +273,7 @@ func (e *Engine) fanShards(nc, S int, eval func(ci, s int) []Violation) [][]Viol
 // single-partition engine on the equivalent Database (the final stable
 // sort puts the merged per-shard stream in canonical order). It fails
 // when the batch is not shardable under the database's partitioner (see
-// CheckShardable). A Legacy engine silently evaluates on the columnar
-// path, like the monitors.
+// CheckShardable).
 func (e *Engine) DetectBatchSharded(sdb *relation.ShardedDB, cs []Constraint) ([]Violation, error) {
 	if err := CheckShardable(sdb.Partitioner(), cs); err != nil {
 		return nil, err

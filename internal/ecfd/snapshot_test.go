@@ -33,6 +33,22 @@ func benchSet(s *relation.Schema) []*ecfd.ECFD {
 		// though a float64 compare would equate the two.
 		ecfd.MustNew(s, []string{"CC"}, []string{"city"},
 			ecfd.Row{LHS: []ecfd.Cell{ecfd.In(relation.Int(1<<53 + 1))}, RHS: []ecfd.Cell{ecfd.In(relation.Str("EDI"))}}),
+		// The NaN area codes nanCustomers plants: a pair that agrees on
+		// its NaN RHS cells (they share a zip), and a NaN LHS constant
+		// that matches NaN data.
+		ecfd.MustNew(s, []string{"zip"}, []string{"AC"},
+			ecfd.Row{LHS: []ecfd.Cell{ecfd.Any()}, RHS: []ecfd.Cell{ecfd.Any()}}),
+		ecfd.MustNew(s, []string{"AC"}, []string{"city"},
+			ecfd.Row{LHS: []ecfd.Cell{ecfd.In(relation.Float(math.NaN()))}, RHS: []ecfd.Cell{ecfd.In(relation.Str("EDI"))}}),
+	}
+}
+
+// nanCustomers inserts two customers with a NaN area code and one zip,
+// one of them outside EDI.
+func nanCustomers(in *relation.Instance) {
+	for i, city := range []string{"EDI", "GLA"} {
+		in.MustInsert(relation.Int(44), relation.Float(math.NaN()), relation.Int(int64(1000001+i)), relation.Str("n"),
+			relation.Str("st"), relation.Str(city), relation.Str("EH9 9NN"))
 	}
 }
 
@@ -50,6 +66,7 @@ func TestSnapshotMatchesLegacy(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			in := gen.Customers(gen.CustomerConfig{N: 400, Seed: seed, ErrorRate: 0.1})
 			bigFloatCustomer(in)
+			nanCustomers(in)
 			set := benchSet(in.Schema())
 			for round := 0; round < 8; round++ {
 				for i, e := range set {
@@ -182,6 +199,7 @@ func TestKernelTouchedIsFilteredFull(t *testing.T) {
 					ids := in.IDs()
 					in.Delete(ids[r.Intn(len(ids))])
 				}
+				nanCustomers(in)
 				s := in.Schema()
 				set := append(benchSet(s),
 					ecfd.MustNew(s, []string{"CC", "city"}, []string{"zip", "AC"},

@@ -28,17 +28,12 @@ type CodeSet struct {
 }
 
 // CompileSet compiles the cell "op vals" against column pos of snap.
-// Members that never occur in the column are dropped, and so are NaN
-// members: a NaN constant Equals no value, even though the dictionary
-// folds all NaN data onto one shared code. An ∈ set emptied this way
-// matches nothing, an emptied ∉ set matches everything. A wildcard
-// leaves the column uninterned.
+// Members that never occur in the column are dropped. An ∈ set emptied
+// this way matches nothing, an emptied ∉ set matches everything. A
+// wildcard leaves the column uninterned.
 func CompileSet(snap *Snapshot, pos int, op SetOp, vals ...Value) CodeSet {
 	cs := CodeSet{op: op}
 	for _, v := range vals {
-		if v.kind == KindFloat && v.f != v.f {
-			continue
-		}
 		if code, ok := snap.Dict(pos).Code(v); ok {
 			cs.codes = append(cs.codes, code)
 		}

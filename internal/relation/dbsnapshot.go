@@ -59,9 +59,6 @@ func (d *DBSnapshot) Snapshot(name string) (*Snapshot, bool) {
 // Names returns the snapshotted relation names in sorted order.
 func (d *DBSnapshot) Names() []string { return d.db.Names() }
 
-// Source returns the database the snapshot was frozen from.
-func (d *DBSnapshot) Source() *Database { return d.db }
-
 // Stale reports whether any member instance has been mutated (or the
 // relation set changed) since the snapshot was built.
 func (d *DBSnapshot) Stale() bool {

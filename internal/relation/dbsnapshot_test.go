@@ -71,10 +71,6 @@ func TestDBSnapshotOfCachesByVersion(t *testing.T) {
 	if s4.Len() != 0 {
 		t.Fatal("DBSnapshotOf did not pick up the replaced instance")
 	}
-	// Source returns the database.
-	if d4.Source() != db {
-		t.Fatal("Source mismatch")
-	}
 }
 
 func TestLookupCodesAcrossRelations(t *testing.T) {

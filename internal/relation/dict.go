@@ -41,7 +41,8 @@ func NewDict() *Dict {
 }
 
 // canonicalValue maps v to a representative such that two values are
-// Equal iff their representatives are == as Go values (NaN aside). The
+// Equal iff their representatives are == as Go values (NaN aside: every
+// NaN is Equal to every NaN, and the dictionary gives them one code). The
 // only non-identity case is the numeric tower: an integral float is
 // folded onto the int it denotes, exactly as Value.Key folds it.
 // Value.Equal compares mixed numbers through this folding, so codes,
@@ -57,10 +58,9 @@ func canonicalValue(v Value) Value {
 
 // Intern returns the code of v, assigning the next free code when v has
 // not been seen before. All NaN floats share one code, exactly as they
-// share one Value.Key on the string-keyed path (NaN cannot be a map key
-// — as a Go map key every NaN is distinct — so it gets a dedicated
-// slot); within-group RHS comparisons still use Value.Equal, under
-// which NaN ≠ NaN, so detection semantics match the legacy path.
+// share one Value.Key and are all Equal to each other (NaN cannot be a
+// map key — as a Go map key every NaN is distinct — so it gets a
+// dedicated slot).
 func (d *Dict) Intern(v Value) uint32 {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -143,8 +143,9 @@ func (v Value) numeric() bool { return v.kind == KindInt || v.kind == KindFloat 
 // numeric values compare numerically across int/float kinds, exactly:
 // an int equals a float only when the float is integral and denotes
 // that very int (beyond 2^53 a float64 cannot hold every int64, and a
-// float compare would equate neighbours). Equal therefore agrees with
-// Key and with dictionary codes on every non-NaN pair.
+// float compare would equate neighbours). Every NaN equals every NaN,
+// so Equal is an equivalence, and it agrees with Key and with dictionary
+// codes on every pair of values.
 func (v Value) Equal(w Value) bool {
 	if v.kind == w.kind {
 		switch v.kind {
@@ -153,7 +154,7 @@ func (v Value) Equal(w Value) bool {
 		case KindBool, KindInt:
 			return v.i == w.i
 		case KindFloat:
-			return v.f == w.f
+			return v.f == w.f || (v.f != v.f && w.f != w.f)
 		case KindString:
 			return v.s == w.s
 		}

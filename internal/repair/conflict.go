@@ -5,16 +5,35 @@ import (
 
 	"repro/internal/cfd"
 	"repro/internal/denial"
-	"repro/internal/detect"
 	"repro/internal/relation"
 )
 
-// detectEngine is the package's batch violation-detection engine: repair
-// gathers violations through it so the columnar snapshot and LHS group
-// indexes are built once and shared across Σ, and the per-CFD scans run
-// on the worker pool. Repair mutates working copies between detection
-// rounds; the engine snapshots per call, so every round sees fresh data.
-var detectEngine = detect.New(0)
+// detectOn runs one columnar CFD kernel of package cfd for every CFD of
+// sigma on one frozen snapshot, possibly not its instance's latest, and
+// merges the violations in cfd.DetectAll's order. Each CFD reads the
+// snapshot's cached index on its LHS, so CFDs sharing an LHS share one
+// build, and so do later calls on the same snapshot.
+func detectOn(snap *relation.Snapshot, sigma []*cfd.CFD,
+	kernel func(*relation.Snapshot, *cfd.CFD, *relation.CodeIndex) []cfd.Violation) []cfd.Violation {
+	var out []cfd.Violation
+	for _, c := range sigma {
+		out = append(out, kernel(snap, c, snap.CodeIndexOn(c.LHS()))...)
+	}
+	cfd.SortViolations(out)
+	return out
+}
+
+// satisfiesOn reports whether the snapshot satisfies every CFD of sigma,
+// stopping at the first violation, on the same cached indexes as
+// detectOn.
+func satisfiesOn(snap *relation.Snapshot, sigma []*cfd.CFD) bool {
+	for _, c := range sigma {
+		if !cfd.SatisfiesWithSnapshot(snap, c, snap.CodeIndexOn(c.LHS())) {
+			return false
+		}
+	}
+	return true
+}
 
 // Conflict hypergraph machinery for X-repairs of denial constraints:
 // vertices are tuples, hyperedges the conflicts (matches of a forbidden
@@ -71,11 +90,11 @@ func BuildCFDHypergraph(in *relation.Instance, sigma []*cfd.CFD) *Hypergraph {
 
 // BuildCFDHypergraphOn assembles the conflict hypergraph of a frozen
 // snapshot w.r.t. a set of CFDs, gathering the violations through the
-// parallel detection engine: vertices are the snapshot's tuples and
+// columnar CFD kernels: vertices are the snapshot's tuples and
 // every violation contributes a hyperedge — {t} for a single-tuple
 // constant clash, {t1, t2} for a pair violation (deduplicated across
 // RHS attributes and pattern rows, which add no new conflicts between
-// the same tuples). Gathering uses the engine's exhaustive pair mode,
+// the same tuples). Gathering uses the kernels' exhaustive pair mode,
 // so conflicts between non-representative group members are present and
 // every enumerated X-repair really satisfies Σ. Detection shares the
 // snapshot's cached group indexes, so iterating repair loops that keep
@@ -90,7 +109,7 @@ func BuildCFDHypergraphOn(snap *relation.Snapshot, sigma []*cfd.CFD) *Hypergraph
 		h.Vertices = append(h.Vertices, ref)
 	}
 	seen := make(map[[2]int]bool)
-	for _, v := range detectEngine.DetectAllExhaustiveOn(snap, sigma) {
+	for _, v := range detectOn(snap, sigma, cfd.DetectExhaustiveWithSnapshot) {
 		a := h.index[denial.TupleRef{Rel: name, TID: v.T1}]
 		b := h.index[denial.TupleRef{Rel: name, TID: v.T2}]
 		if a > b {

@@ -64,7 +64,7 @@ func RepairWithMaster(in *relation.Instance, sigma []*cfd.CFD, master *relation.
 	// Detect over the instance's cached snapshot: during iterating repair
 	// runs the snapshot catches up from the changelog after each in-place
 	// Update instead of being re-frozen per call.
-	dirtyTIDs := cfd.ViolatingTIDs(detectEngine.DetectAllOn(relation.SnapshotOf(in), sigma))
+	dirtyTIDs := cfd.ViolatingTIDs(detectOn(relation.SnapshotOf(in), sigma, cfd.DetectWithSnapshot))
 	masterIDs := master.IDs()
 	for _, id := range dirtyTIDs {
 		t, ok := in.Tuple(id)

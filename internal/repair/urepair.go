@@ -66,10 +66,10 @@ func RepairCFDs(in *relation.Instance, sigma []*cfd.CFD, opts URepairOptions) (U
 			}
 		}
 		if !changed {
-			// The snapshot behind SatisfiesAllOn catches up from the
+			// The snapshot behind satisfiesOn catches up from the
 			// changelog across passes (each pass's Updates are a small
 			// delta), so per-pass checking is incremental, not a re-freeze.
-			if !detectEngine.SatisfiesAllOn(relation.SnapshotOf(in), sigma) {
+			if !satisfiesOn(relation.SnapshotOf(in), sigma) {
 				return report, fmt.Errorf("repair: fixpoint reached but Σ still violated")
 			}
 			for _, ch := range report.Changes {
@@ -78,7 +78,7 @@ func RepairCFDs(in *relation.Instance, sigma []*cfd.CFD, opts URepairOptions) (U
 			return report, nil
 		}
 	}
-	if detectEngine.SatisfiesAllOn(relation.SnapshotOf(in), sigma) {
+	if satisfiesOn(relation.SnapshotOf(in), sigma) {
 		for _, ch := range report.Changes {
 			report.Cost += ch.Cost
 		}

@@ -55,9 +55,7 @@ var ErrStopped = errors.New("serve: service stopped")
 
 // Config parameterizes New.
 type Config struct {
-	// Engine runs detection; nil gets the default configuration. A
-	// Legacy engine is upgraded to the columnar path (the monitor and
-	// the reader hand-off require frozen snapshots).
+	// Engine runs detection; nil gets the default configuration.
 	Engine *detect.Engine
 	// DB is the watched database. The service owns its mutation from
 	// New on: callers must not write to it directly anymore.
