@@ -150,7 +150,7 @@ func main() {
 	maxBatch := flag.Int("maxbatch", serve.DefaultMaxBatchOps, "max ops coalesced into one monitor batch")
 	subBuf := flag.Int("subbuf", serve.DefaultSubBuf, "per-subscriber delta buffer (commits a consumer may lag)")
 	drain := flag.Duration("drain", 10*time.Second, "shutdown budget for draining requests and the ingest queue")
-	shards := flag.Int("shards", 1, "hash-partition the database across N shards (per-shard writers, scatter-gather detection)")
+	shards := flag.Int("shards", 1, "hash-partition the database across N shards (per-shard apply, scatter-gather detection)")
 	shardKeys := shardKeyFlags{}
 	flag.Var(shardKeys, "shard-key", "relation=attr1,attr2 partition key (repeatable; default: derived from the rules)")
 	dataDir := flag.String("data-dir", "", "durable data directory: WAL + checkpoints; restart recovers every acknowledged commit")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/cfd"
 	"repro/internal/cind"
@@ -294,21 +295,24 @@ func (e *Engine) DetectBatchSharded(sdb *relation.ShardedDB, cs []Constraint) ([
 // every Apply, Violations() is byte-identical to what DetectBatch would
 // report on the equivalent unsharded database.
 //
-// The monitor is single-writer with an explicit two-phase commit for
-// callers that apply shards concurrently (the serve layer's shard
-// writers):
+// The monitor is single-writer. Apply is three steps, which callers
+// that time each stage (the serve layer's commit, bench's replay) run
+// themselves:
 //
-//	r, err := m.Route(batch)   // sequential: validate, allocate, route
-//	...apply r's sub-batches, one goroutine per shard...
-//	gained, cleared := m.Sync() // sequential: diff + publish
-//
-// Apply bundles the three steps with a bounded worker pool for callers
-// without their own writers.
+//	r, err := m.Route(batch)     // sequential: validate, allocate, route
+//	aerr := m.ApplyRouting(r)    // scatter over the worker pool, panics isolated
+//	gained, cleared := m.Sync()  // sequential diff over concurrent per-shard catch-up
 type ShardedDBMonitor struct {
 	monitorCore
 	sdb   *relation.ShardedDB
 	snaps []*relation.DBSnapshot
 	tkeys map[string]*cind.KeyIndex
+	// panics counts the shard-apply panics ApplyRouting has recovered;
+	// atomic, because metrics scrapes read it beside the writer.
+	panics atomic.Uint64
+	// hook, set only by SetShardHookForTest, runs before each shard's
+	// sub-batch is applied.
+	hook func(shard int, ops []relation.ShardedOp)
 }
 
 // NewShardedDBMonitor builds the monitor and pays one full sharded
@@ -335,8 +339,8 @@ func (m *ShardedDBMonitor) evalAll() [][]Violation {
 // (sequential, single-writer). Semantics match DBMonitor.Apply's
 // mutation step exactly: ops route in order, the first failing op stops
 // the batch (the routed prefix stands) and returns the identical
-// wrapped error. The returned routing MUST be applied — ApplyRouting,
-// or ShardedDB.ApplyShard per sub-batch — before the next Route.
+// wrapped error. The returned routing MUST be applied with ApplyRouting
+// before the next Route.
 func (m *ShardedDBMonitor) Route(batch []DBOp) (*relation.Routing, error) {
 	r := m.sdb.NewRouting()
 	for _, op := range batch {
@@ -361,39 +365,71 @@ func (m *ShardedDBMonitor) Route(batch []DBOp) (*relation.Routing, error) {
 
 // ApplyRouting applies every routed sub-batch, fanning shards out over
 // the engine's worker pool (each shard is applied by exactly one
-// goroutine, in routed order). A failing shard — routing invariants
-// broken by a poisoned batch — is reported (first shard's error, shard
-// order) instead of panicking; the caller must then RebuildDir and Sync
-// to restore a consistent view of whatever did apply.
+// goroutine, in routed order). A failing shard does not stop the
+// others: an ApplyShard error (routing invariants broken by a poisoned
+// batch) or a panic, which is recovered into that shard's error and
+// counted (Panics), is reported as the first failing shard's error in
+// shard order. On any failure ApplyRouting rebuilds the tuple directory
+// from what the shards actually hold (RebuildDir), so the next Sync
+// restores a consistent view of whatever did apply.
 func (m *ShardedDBMonitor) ApplyRouting(r *relation.Routing) error {
 	per := r.PerShard()
 	var firstErr error
 	runOrdered(m.engine.workers(), len(per), func(s int) error {
-		if len(per[s]) > 0 {
-			return m.sdb.ApplyShard(s, per[s])
-		}
-		return nil
+		return m.applyShard(s, per[s])
 	}, func(err error) {
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 	})
+	if firstErr != nil {
+		m.sdb.RebuildDir()
+	}
 	return firstErr
+}
+
+// applyShard applies one shard's sub-batch, recovering a panic in the
+// apply (or the test hook) into the shard's error.
+func (m *ShardedDBMonitor) applyShard(s int, ops []relation.ShardedOp) (err error) {
+	if len(ops) == 0 {
+		return nil
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			m.panics.Add(1)
+			err = fmt.Errorf("detect: shard %d apply panic: %v", s, r)
+		}
+	}()
+	if m.hook != nil {
+		m.hook(s, ops)
+	}
+	return m.sdb.ApplyShard(s, ops)
+}
+
+// Panics reports how many shard-apply panics ApplyRouting has recovered
+// since the monitor was built. Safe to call concurrently with the
+// writer.
+func (m *ShardedDBMonitor) Panics() uint64 { return m.panics.Load() }
+
+// SetShardHookForTest installs h to run in ApplyRouting just before each
+// shard applies its sub-batch — the scheduling-fault seam: tests stall
+// one shard (latency) or panic in it (crash isolation). h may run
+// concurrently for distinct shards. Not safe to call while a batch is
+// being applied.
+func (m *ShardedDBMonitor) SetShardHookForTest(h func(shard int, ops []relation.ShardedOp)) {
+	m.hook = h
 }
 
 // Apply routes the batch, applies the sub-batches concurrently, and
 // syncs — the sharded counterpart of DBMonitor.Apply, with the same
-// error-prefix semantics and the same gained/cleared contract. An
-// apply-phase failure (as opposed to a routed op error) degrades: the
-// directory is rebuilt from the shards and Sync restores consistency
+// error-prefix semantics and the same gained/cleared contract. A routed
+// op error keeps precedence over an apply-phase failure, since it names
+// the op the caller sent wrong; either way Sync restores consistency
 // with what actually applied.
 func (m *ShardedDBMonitor) Apply(batch []DBOp) (gained, cleared []Violation, err error) {
 	r, err := m.Route(batch)
-	if aerr := m.ApplyRouting(r); aerr != nil {
-		m.sdb.RebuildDir()
-		if err == nil {
-			err = aerr
-		}
+	if aerr := m.ApplyRouting(r); err == nil {
+		err = aerr
 	}
 	gained, cleared = m.Sync()
 	return gained, cleared, err

@@ -404,6 +404,107 @@ func TestShardedCrossShardMoves(t *testing.T) {
 	}
 }
 
+// TestShardedApplyPanicIsolation injects a panic into one shard's apply
+// through SetShardHookForTest, on batches whose key update moves a
+// tuple across shards, once with the panic on the move's destination
+// shard (the delete applies, the insert does not) and once on its
+// source (the insert applies, the delete does not, so the TID is held
+// twice until ApplyRouting's RebuildDir drops the extra copy). Each
+// time the panic must come back as the batch's error and be counted,
+// the monitor must match a fresh detection over its own shard
+// snapshots with no TID on two shards, and the next batch must apply
+// cleanly.
+func TestShardedApplyPanicIsolation(t *testing.T) {
+	defer relation.SetShardHasherForTest(func(_ string, key []byte) uint64 {
+		for _, b := range key {
+			if b == 'Z' {
+				return 1
+			}
+		}
+		return 0
+	})()
+	for _, tc := range []struct {
+		name  string
+		shard int // the shard whose apply panics: 1 is the move's destination
+	}{{"destination", 1}, {"source", 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cs := shardableSigma()
+			db := gen.Orders(gen.OrdersConfig{Books: 0, CDs: 0, Orders: 0, Seed: 1})
+			order := db.MustInstance("order")
+			str, f := relation.Str, relation.Float
+			t0 := order.MustInsert(str("a0"), str("Plain"), str("book"), f(1.99))
+			order.MustInsert(str("a1"), str("Z-Title"), str("book"), f(5.99))
+			t2 := order.MustInsert(str("a2"), str("Z-Title"), str("book"), f(6.99))
+			t3 := order.MustInsert(str("a3"), str("Plain"), str("book"), f(2.99))
+			m, err := NewShardedDBMonitor(New(2), shardOrders(t, db, 2, cs), cs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			consistent := func(step string) {
+				t.Helper()
+				seen := map[relation.TID]int{}
+				for s, ds := range m.ShardSnapshots() {
+					snap, _ := ds.Snapshot("order")
+					for row := 0; row < snap.Len(); row++ {
+						if prev, dup := seen[snap.TID(row)]; dup {
+							t.Fatalf("%s: TID %d held by shards %d and %d", step, snap.TID(row), prev, s)
+						}
+						seen[snap.TID(row)] = s
+					}
+				}
+				gathered, err := relation.GatherSnapshots(m.ShardSnapshots())
+				if err != nil {
+					t.Fatalf("%s: GatherSnapshots: %v", step, err)
+				}
+				if got, want := m.Violations(), New(1).DetectBatch(gathered, cs); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: monitor holds %v, fresh detection %v", step, got, want)
+				}
+			}
+
+			panicked := false
+			m.SetShardHookForTest(func(shard int, ops []relation.ShardedOp) {
+				if shard == tc.shard && !panicked {
+					panicked = true
+					panic("injected shard fault")
+				}
+			})
+			prev := m.Violations()
+			// t0 moves from shard 0 to shard 1 and violates ϕ1 against
+			// t1 there; the insert lands on shard 0.
+			g, c, err := m.Apply([]DBOp{
+				UpdateIn("order", t0, 1, str("Z-Title")),
+				InsertInto("order", relation.Tuple{str("a4"), str("Plain"), str("book"), f(3.99)}),
+			})
+			if err == nil || !strings.Contains(err.Error(), "panic") {
+				t.Fatalf("panicked batch returned err %v, want a shard panic error", err)
+			}
+			if m.Panics() != 1 {
+				t.Fatalf("Panics = %d, want 1", m.Panics())
+			}
+			checkDiff(t, "panicked batch", prev, g, c, m.Violations())
+			consistent("after the panic")
+
+			m.SetShardHookForTest(nil)
+			prev = m.Violations()
+			g, c, err = m.Apply([]DBOp{
+				UpdateIn("order", t2, 1, str("Plain")),
+				UpdateIn("order", t3, 3, f(7.99)),
+			})
+			if err != nil {
+				t.Fatalf("batch after the panic: %v", err)
+			}
+			if s, ok := m.Sharded().ShardOfTID("order", t2); !ok || s != 0 {
+				t.Fatalf("t2 should have moved to shard 0, got %d (ok %v)", s, ok)
+			}
+			checkDiff(t, "next batch", prev, g, c, m.Violations())
+			consistent("after the next batch")
+			if m.Panics() != 1 {
+				t.Fatalf("Panics = %d after a clean batch, want 1", m.Panics())
+			}
+		})
+	}
+}
+
 // TestShardedDBMonitorBadOps: every failing-op shape must report the
 // exact error string DBMonitor reports, and both monitors must
 // resynchronize with the same applied prefix.

@@ -140,7 +140,7 @@ func (s *ShardedDB) NextTID(rel string) TID { return s.nextID[rel] }
 // the recovery step after a partially-applied sub-batch left the routed
 // directory ahead of (or behind) what the shards actually hold. A TID
 // found in more than one shard (a cross-shard move whose insert applied
-// but whose delete did not, because that writer failed mid-commit) is
+// but whose delete did not, because that shard's apply failed) is
 // repaired on the spot: the lowest shard's copy is kept and the others
 // deleted — through Instance.Delete, so the monitor's next sync sees
 // the repair — restoring a valid (if partial) partition.
@@ -416,9 +416,9 @@ func (r *Routing) Update(rel string, id TID, pos int, v Value) error {
 // route time, so an error here means the routing invariants broke (a
 // poisoned batch, a directory out of step with a shard): ApplyShard
 // stops at the failing op and returns the error instead of killing the
-// process, leaving the caller to degrade — reject the commit, rebuild
-// the directory (RebuildDir) and resynchronize via the monitor's
-// changelog-driven Sync.
+// process, leaving the caller to degrade — rebuild the directory
+// (RebuildDir) and resynchronize through the changelogs, which is what
+// detect.ShardedDBMonitor.ApplyRouting and Sync do.
 func (s *ShardedDB) ApplyShard(shard int, ops []ShardedOp) error {
 	db := s.shards[shard]
 	for _, op := range ops {
@@ -439,21 +439,6 @@ func (s *ShardedDB) ApplyShard(shard int, ops []ShardedOp) error {
 		case ChangeUpdate:
 			if err := in.Update(op.TID, op.Pos, op.Val); err != nil {
 				return fmt.Errorf("relation: sharded apply: %w", err)
-			}
-		}
-	}
-	return nil
-}
-
-// Apply applies every routed sub-batch sequentially (shard order),
-// stopping at the first shard whose application fails. The concurrent
-// path is ApplyShard per shard; Apply is the convenience for callers
-// without their own workers.
-func (s *ShardedDB) Apply(r *Routing) error {
-	for shard, ops := range r.perShard {
-		if len(ops) > 0 {
-			if err := s.ApplyShard(shard, ops); err != nil {
-				return err
 			}
 		}
 	}

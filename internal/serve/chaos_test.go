@@ -1,7 +1,7 @@
 // Fault-matrix and chaos tests: scripted filesystem faults (via
 // fault.Injector under DurableConfig.FS) and scheduling faults (via
-// Config.shardHook) against the durable service, checking the
-// robustness contract end to end — the server either answers
+// the sharded monitor's SetShardHookForTest) against the service,
+// checking the robustness contract end to end — the server either answers
 // byte-identically to a fault-free shadow run or reports itself
 // degraded; it never serves a wrong answer and never loses an
 // acknowledged commit.
@@ -359,7 +359,7 @@ func TestCheckpointRetryBackoff(t *testing.T) {
 	}
 }
 
-// TestShardWriterPanicIsolation injects a panic into one shard writer
+// TestShardWriterPanicIsolation injects a panic into one shard's apply
 // mid-commit: the panic is recovered into a per-shard error, the
 // sequencer resynchronizes against whatever prefix applied, the
 // service stays healthy and live, and the published state remains
@@ -370,12 +370,12 @@ func TestShardWriterPanicIsolation(t *testing.T) {
 	var panicked atomic.Bool
 	db := ordersDB(9, 120)
 	gendb := db.Clone()
-	svc := mustNew(t, Config{DB: db, Constraints: cs, Shards: 2,
-		shardHook: func(shard int, ops []relation.ShardedOp) {
-			if panicked.CompareAndSwap(false, true) {
-				panic("injected shard fault")
-			}
-		}})
+	svc := mustNew(t, Config{DB: db, Constraints: cs, Shards: 2})
+	svc.smonitor.SetShardHookForTest(func(shard int, ops []relation.ShardedOp) {
+		if panicked.CompareAndSwap(false, true) {
+			panic("injected shard fault")
+		}
+	})
 	r := rand.New(rand.NewSource(77))
 	fresh := 0
 
@@ -423,20 +423,20 @@ func TestShardWriterPanicIsolation(t *testing.T) {
 	selfConsistent("after recovery commits")
 }
 
-// TestShardWriterStall stalls one shard writer with injected latency:
-// the commit barrier absorbs the skew and the result is byte-identical
+// TestShardWriterStall stalls one shard's apply with injected latency:
+// the scatter's join absorbs the skew and the result is byte-identical
 // to the fault-free shadow.
 func TestShardWriterStall(t *testing.T) {
 	cs := shardableServeSigma()
 	var stalls atomic.Int64
 	db := ordersDB(13, 120)
 	shadow := db.Clone()
-	svc := mustNew(t, Config{DB: db, Constraints: cs, Shards: 2,
-		shardHook: func(shard int, ops []relation.ShardedOp) {
-			if shard == 0 && stalls.Add(1) <= 3 {
-				time.Sleep(2 * time.Millisecond)
-			}
-		}})
+	svc := mustNew(t, Config{DB: db, Constraints: cs, Shards: 2})
+	svc.smonitor.SetShardHookForTest(func(shard int, ops []relation.ShardedOp) {
+		if shard == 0 && stalls.Add(1) <= 3 {
+			time.Sleep(2 * time.Millisecond)
+		}
+	})
 	r := rand.New(rand.NewSource(31))
 	fresh := 0
 	d := driveFaulty(t, svc, shadow, r, &fresh, 10)
@@ -539,7 +539,7 @@ func TestChaosHarness(t *testing.T) {
 }
 
 // TestChaosSharded turns the scheduling-fault dial: random stalls and
-// occasional panics inside the shard writers while commits stream in.
+// occasional panics inside the per-shard applies while commits stream in.
 // The shadow oracle does not apply here (a panicked commit legally
 // applies only a prefix), so the invariant is self-consistency: after
 // every few commits the published violation set must equal a fresh
@@ -552,19 +552,19 @@ func TestChaosSharded(t *testing.T) {
 	var panics atomic.Int64
 	db := ordersDB(21, 120)
 	gendb := db.Clone()
-	svc := mustNew(t, Config{DB: db, Constraints: cs, Shards: 2,
-		shardHook: func(shard int, ops []relation.ShardedOp) {
-			mu.Lock()
-			roll := hookRand.Intn(20)
-			mu.Unlock()
-			switch {
-			case roll == 0:
-				panics.Add(1)
-				panic("chaos shard panic")
-			case roll < 4:
-				time.Sleep(time.Duration(roll) * 100 * time.Microsecond)
-			}
-		}})
+	svc := mustNew(t, Config{DB: db, Constraints: cs, Shards: 2})
+	svc.smonitor.SetShardHookForTest(func(shard int, ops []relation.ShardedOp) {
+		mu.Lock()
+		roll := hookRand.Intn(20)
+		mu.Unlock()
+		switch {
+		case roll == 0:
+			panics.Add(1)
+			panic("chaos shard panic")
+		case roll < 4:
+			time.Sleep(time.Duration(roll) * 100 * time.Microsecond)
+		}
+	})
 	r := rand.New(rand.NewSource(404))
 	fresh := 0
 	ctx := context.Background()

@@ -252,23 +252,21 @@ var (
 )
 
 // shardStatsJSON is one shard's slice of /stats: its tuple count
-// (summed over relations), its violation count (violations whose
-// primary tuple it holds), and the ops in flight to its writer.
+// (summed over relations) and its violation count (violations whose
+// primary tuple it holds).
 type shardStatsJSON struct {
 	Shard      int `json:"shard"`
 	Tuples     int `json:"tuples"`
 	Violations int `json:"violations"`
-	QueueDepth int `json:"queueDepth"`
 }
 
 // shardStatsFor assembles the per-shard section from an immutable
 // State: tuples from the published shard snapshots, violations from
-// the sequencer's tally, queue depths from the writer gauges.
-func (h *Handler) shardStatsFor(st *State) []shardStatsJSON {
+// the sequencer's tally.
+func shardStatsFor(st *State) []shardStatsJSON {
 	if st.Shards == nil {
 		return nil
 	}
-	depths := h.Svc.ShardQueueDepths()
 	out := make([]shardStatsJSON, len(st.Shards))
 	for i, ds := range st.Shards {
 		out[i].Shard = i
@@ -279,9 +277,6 @@ func (h *Handler) shardStatsFor(st *State) []shardStatsJSON {
 		}
 		if i < len(st.ShardViolations) {
 			out[i].Violations = st.ShardViolations[i]
-		}
-		if i < len(depths) {
-			out[i].QueueDepth = depths[i]
 		}
 	}
 	return out
@@ -342,7 +337,7 @@ func (h *Handler) handleStats(w http.ResponseWriter, r *http.Request) {
 		QueueDepth:    h.Svc.QueueDepth(),
 		QueueCap:      h.Svc.QueueCap(),
 		ShardCount:    h.Svc.Shards(),
-		Shards:        h.shardStatsFor(st),
+		Shards:        shardStatsFor(st),
 		Durability:    durability,
 		Counts:        h.Svc.countsFor(st), // same State as the top-level fields
 	})

@@ -10,7 +10,6 @@ package serve
 
 import (
 	"log/slog"
-	"strconv"
 	"time"
 
 	"repro/internal/detect"
@@ -143,14 +142,8 @@ func (s *Service) setupObs(cfg *ObsConfig, queueCap int, seed *State) {
 		func() float64 { return float64(s.NumSubscribers()) })
 	reg.GaugeFunc("dq_health_state", "Write-availability state: 0 healthy, 1 read-only, 2 broken.", nil,
 		func() float64 { h, _ := s.Health(); return float64(h) })
-	reg.GaugeFunc("dq_shard_panics", "Shard-writer panics recovered since start.", nil,
-		func() float64 { return float64(s.shardPanics.Load()) })
-	for i := range s.shardPending {
-		shard := i
-		reg.GaugeFunc("dq_shard_queue_depth", "Ops in flight to one shard writer.",
-			obs.Labels{"shard": strconv.Itoa(shard)},
-			func() float64 { return float64(s.shardPending[shard].Load()) })
-	}
+	reg.GaugeFunc("dq_shard_panics", "Shard-apply panics recovered into per-shard commit errors since start.", nil,
+		func() float64 { return float64(s.ShardPanics()) })
 	if s.wal != nil {
 		reg.GaugeFunc("dq_wal_bytes", "Valid bytes across live WAL segments.", nil,
 			func() float64 { return float64(s.wal.Stats().Bytes) })

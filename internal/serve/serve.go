@@ -77,9 +77,10 @@ type Config struct {
 	SubBuf int
 	// Shards > 1 runs the service sharded: DB is hash-partitioned into
 	// that many shards at New, each commit is routed once by the
-	// sequencer and applied by per-shard writer goroutines, and one
-	// merged State is published per commit — byte-identical to the
-	// single-partition service. 0 or 1 keeps the single-writer path.
+	// sequencer and its sub-batches applied concurrently across shards
+	// (detect.ShardedDBMonitor.ApplyRouting), and one merged State is
+	// published per commit — byte-identical to the single-partition
+	// service. 0 or 1 keeps the single-partition path.
 	Shards int
 	// ShardKeys sets the partition key (attribute positions) per
 	// relation when Shards > 1. Nil derives keys from the constraint
@@ -107,12 +108,6 @@ type Config struct {
 	// Logger receives structured events — recovery, checkpoints, health
 	// degradation, change-point alerts. Nil discards.
 	Logger *slog.Logger
-
-	// shardHook, when non-nil, runs in each shard writer just before it
-	// applies a sub-batch — the scheduling-fault seam: chaos tests stall
-	// one writer (latency) or panic in it (crash isolation). Unexported:
-	// only package-internal tests can set it.
-	shardHook func(shard int, ops []relation.ShardedOp)
 }
 
 // State is one published, immutable view of the service: everything a
@@ -193,13 +188,6 @@ type request struct {
 	at   time.Time   // enqueue time; zero with observability off
 }
 
-// shardWork is one commit's sub-batch for one shard writer.
-type shardWork struct {
-	ops []relation.ShardedOp
-	wg  *sync.WaitGroup
-	err *error // the writer's error slot; the sequencer reads it after wg.Wait
-}
-
 // pendingCommit is a committed-but-unsynced batch: applied to the
 // monitor and the writer-local tip, but its WAL frame is not yet on
 // stable storage, so it is neither published nor acknowledged. The
@@ -223,14 +211,11 @@ type Service struct {
 	subBuf  int
 
 	// Sharded mode (Config.Shards > 1): the sequencer (the run loop)
-	// routes each commit, the shard writers apply the sub-batches behind
-	// a WaitGroup barrier, and the sequencer syncs and publishes one
-	// merged State. shardPending are racy per-shard in-flight op gauges
-	// for /stats.
-	smonitor     *detect.ShardedDBMonitor
-	shardedDB    *relation.ShardedDB
-	shardCh      []chan shardWork
-	shardPending []atomic.Int64
+	// routes each commit, the monitor applies the sub-batches
+	// concurrently across shards, and the sequencer syncs and publishes
+	// one merged State.
+	smonitor  *detect.ShardedDBMonitor
+	shardedDB *relation.ShardedDB
 
 	queue chan request
 	state atomic.Pointer[State]
@@ -270,11 +255,8 @@ type Service struct {
 	logger      *slog.Logger
 
 	// Health state machine (health.go): healthy → read-only → broken,
-	// one-way. shardPanics counts shard-writer panics recovered into
-	// per-shard errors.
-	health      atomic.Pointer[healthState]
-	shardPanics atomic.Uint64
-	shardHook   func(shard int, ops []relation.ShardedOp)
+	// one-way.
+	health atomic.Pointer[healthState]
 
 	mu      sync.Mutex
 	subs    map[*Sub]struct{}
@@ -325,7 +307,6 @@ func New(cfg Config) (*Service, error) {
 		maxOps:        maxOps,
 		subBuf:        subBuf,
 		submitTimeout: cfg.SubmitTimeout,
-		shardHook:     cfg.shardHook,
 		queue:         make(chan request, queueCap),
 		subs:          make(map[*Sub]struct{}),
 		stopping:      make(chan struct{}),
@@ -351,9 +332,6 @@ func New(cfg Config) (*Service, error) {
 	}
 	s.db = db
 	fail := func(err error) (*Service, error) {
-		for _, ch := range s.shardCh {
-			close(ch)
-		}
 		if s.wal != nil {
 			s.wal.Close()
 		}
@@ -385,12 +363,6 @@ func New(cfg Config) (*Service, error) {
 		s.engine = m.Engine()
 		s.smonitor = m
 		s.shardedDB = sdb
-		s.shardCh = make([]chan shardWork, cfg.Shards)
-		s.shardPending = make([]atomic.Int64, cfg.Shards)
-		for i := range s.shardCh {
-			s.shardCh[i] = make(chan shardWork, 1)
-			go s.shardWriter(i)
-		}
 	} else {
 		m := detect.NewDBMonitor(cfg.Engine, db, cfg.Constraints)
 		s.engine = m.Engine()
@@ -445,43 +417,15 @@ func New(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// shardWriter applies routed sub-batches for one shard, in commit
-// order; the sequencer's WaitGroup barrier keeps commits atomic across
-// writers.
-func (s *Service) shardWriter(shard int) {
-	for w := range s.shardCh[shard] {
-		s.applyShardWork(shard, w)
+// ShardPanics reports how many shard-apply panics the sharded monitor
+// has recovered into per-shard errors since New (racy, informational);
+// 0 on a single-partition service.
+func (s *Service) ShardPanics() uint64 {
+	if s.smonitor == nil {
+		return 0
 	}
+	return s.smonitor.Panics()
 }
-
-// applyShardWork applies one sub-batch with panic isolation: a panic in
-// the apply (or the test hook) is recovered into the commit's per-shard
-// error slot instead of crashing the process, and the sequencer's
-// existing partial-failure path (RebuildDir + resync) restores
-// consistency against whatever prefix actually applied. The barrier is
-// always released exactly once.
-func (s *Service) applyShardWork(shard int, w shardWork) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.shardPanics.Add(1)
-			if w.err != nil {
-				*w.err = fmt.Errorf("serve: shard %d writer panic: %v", shard, r)
-			}
-		}
-		s.shardPending[shard].Add(-int64(len(w.ops)))
-		w.wg.Done()
-	}()
-	if s.shardHook != nil {
-		s.shardHook(shard, w.ops)
-	}
-	if err := s.shardedDB.ApplyShard(shard, w.ops); err != nil && w.err != nil {
-		*w.err = err
-	}
-}
-
-// ShardPanics reports how many shard-writer panics have been recovered
-// since New (racy, informational).
-func (s *Service) ShardPanics() uint64 { return s.shardPanics.Load() }
 
 // run is the single-writer ingest loop: the only goroutine that ever
 // calls monitor.Apply or mutates the database.
@@ -497,9 +441,6 @@ func (s *Service) run() {
 		}
 		if s.syncTicker != nil {
 			s.syncTicker.Stop()
-		}
-		for _, ch := range s.shardCh {
-			close(ch)
 		}
 		close(s.done)
 	}()
@@ -764,13 +705,14 @@ func (s *Service) flushPending(syncErr error) {
 
 // apply applies one validated (and, with a WAL, already logged) batch
 // and returns its violation diff — the one apply step commit and WAL
-// replay share. Flat, it is DBMonitor.Apply. Sharded, it is one
-// sequential route pass (validation, TID allocation, move decisions), a
-// scatter to the shard writers behind a barrier, then the merged
-// incremental sync (which also maintains the per-shard violation
-// counts). Error semantics are DBMonitor.Apply's either way: the prefix
-// before a failing op is applied and the error returned with the diff,
-// so replaying a logged batch reproduces its TIDs, prefix and error.
+// replay share. Flat, it is DBMonitor.Apply. Sharded, it is the
+// Route → ApplyRouting → Sync sequence ShardedDBMonitor.Apply bundles,
+// each step timed as its own stage; ApplyRouting isolates a failing or
+// panicking shard into an error and rebuilds the tuple directory, and
+// Sync also maintains the per-shard violation counts. Error semantics are
+// DBMonitor.Apply's either way: the prefix before a failing op is
+// applied and the error returned with the diff, so replaying a logged
+// batch reproduces its TIDs, prefix and error.
 func (s *Service) apply(ops []detect.DBOp) (gained, cleared []detect.Violation, err error) {
 	if s.smonitor == nil {
 		dt := s.met.now()
@@ -782,36 +724,14 @@ func (s *Service) apply(ops []detect.DBOp) (gained, cleared []detect.Violation, 
 	r, err := s.smonitor.Route(ops)
 	s.met.observeStage(stageRoute, rt)
 
-	st := s.met.now()
-	errs := make([]error, len(s.shardCh))
-	var wg sync.WaitGroup
-	for shard, sub := range r.PerShard() {
-		if len(sub) == 0 {
-			continue
-		}
-		wg.Add(1)
-		s.shardPending[shard].Add(int64(len(sub)))
-		s.shardCh[shard] <- shardWork{ops: sub, wg: &wg, err: &errs[shard]}
+	at := s.met.now()
+	if aerr := s.smonitor.ApplyRouting(r); err == nil {
+		// The route error keeps precedence — it names the op the caller
+		// sent wrong.
+		err = aerr
 	}
-	wg.Wait()
-	s.met.observeStage(stageScatter, st)
-	var aerr error
-	for _, e := range errs {
-		if e != nil {
-			aerr = e
-			break
-		}
-	}
-	if aerr != nil {
-		// A sub-batch stopped mid-way: the tuple directory no longer
-		// matches the shard instances. Rebuild it before syncing so the
-		// monitor resynchronizes against the applied prefix. The route
-		// error keeps precedence — it names the op the caller sent wrong.
-		s.shardedDB.RebuildDir()
-		if err == nil {
-			err = aerr
-		}
-	}
+	s.met.observeStage(stageScatter, at)
+
 	dt := s.met.now()
 	gained, cleared = s.smonitor.Sync()
 	s.met.observeStage(stageDetect, dt)
@@ -965,19 +885,6 @@ func (s *Service) Shards() int {
 		return 1
 	}
 	return s.shardedDB.Shards()
-}
-
-// ShardQueueDepths reports the ops currently in flight to each shard
-// writer (racy, informational); nil on a single-partition service.
-func (s *Service) ShardQueueDepths() []int {
-	if s.shardPending == nil {
-		return nil
-	}
-	out := make([]int, len(s.shardPending))
-	for i := range s.shardPending {
-		out[i] = int(s.shardPending[i].Load())
-	}
-	return out
 }
 
 // Constraints returns the monitored batch Σ (read-only).

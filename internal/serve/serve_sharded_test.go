@@ -251,7 +251,6 @@ func TestHandlerShardedStats(t *testing.T) {
 			Shard      int `json:"shard"`
 			Tuples     int `json:"tuples"`
 			Violations int `json:"violations"`
-			QueueDepth int `json:"queueDepth"`
 		} `json:"shards"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {

@@ -13,14 +13,12 @@ package repro_test
 // the commit ack. The pure-FD row of ϕ2 is deliberately left out: at
 // 1M tuples, random 7-digit phones birthday-collide into tens of
 // thousands of same-(CC, AC, phn) pairs, and the resulting fixed
-// violation mass would dominate the measurement (the per-shard
-// violation attribution is rebuilt in O(V) whenever a commit moves a
-// tuple). Inserted rows carry (CC, AC) = (99, 555) — no pattern row
-// matches, so they never violate — and the hot-set updates flip city
-// values in and out of the patterns: every batch gains and clears
-// violations, but the outstanding set stays small and stationary, so
-// the publish cost is a constant and the measurement isolates
-// per-commit ingest work.
+// violation mass would dominate the measurement. Inserted rows carry
+// (CC, AC) = (99, 555) — no pattern row matches, so they never
+// violate — and the hot-set updates flip city values in and out of
+// the patterns: every batch gains and clears violations, but the
+// outstanding set stays small and stationary, so the publish cost is
+// a constant and the measurement isolates per-commit ingest work.
 //
 // shards=1 runs the plain single-writer service — the baseline — and
 // shards>1 the hash-partitioned one, keyed on phn (contained in the
@@ -36,8 +34,9 @@ package repro_test
 // parallelism (the CI box has one CPU), is where the speedup comes
 // from, and why it widens with n. Large batches scatter inserts across
 // every shard, so on one CPU the per-shard rebuilds sum back to O(n);
-// concurrent shard writers reclaim that on multicore hardware. The 1M
-// tier only runs without -short:
+// on multicore hardware they run concurrently, because the sharded
+// monitor's Sync catches the shards up on the engine's worker pool.
+// The 1M tier only runs without -short:
 //
 //	go test -run '^$' -bench ShardIngest -benchmem .
 import (
