@@ -106,13 +106,7 @@ func BenchmarkFig4CINDDetection(b *testing.B) {
 	for _, n := range []int{500, 5000} {
 		b.Run(fmt.Sprintf("orders=%d", n), func(b *testing.B) {
 			db := gen.Orders(gen.OrdersConfig{Books: n / 4, CDs: n / 4, Orders: n, Seed: 1, ViolationRate: 0.05})
-			order := db.MustInstance("order").Schema()
-			book := db.MustInstance("book").Schema()
-			sigma := []*cind.CIND{
-				cind.MustNew(order, book, []string{"title", "price"}, []string{"title", "price"},
-					[]string{"type"}, nil,
-					cind.PatternRow{XpVals: []relation.Value{relation.Str("book")}}),
-			}
+			sigma := []*cind.CIND{paperdata.Phi4()}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				cind.DetectAll(db, sigma)
@@ -251,13 +245,7 @@ func BenchmarkTable1ImplicationCIND(b *testing.B) {
 			XpVals: []relation.Value{relation.Str("CD")},
 			YpVals: []relation.Value{relation.Str("a-book")},
 		})
-	phi6 := cind.MustNew(cdS, book,
-		[]string{"album", "price"}, []string{"title", "price"},
-		[]string{"genre"}, []string{"format"},
-		cind.PatternRow{
-			XpVals: []relation.Value{relation.Str("a-book")},
-			YpVals: []relation.Value{relation.Str("audio")},
-		})
+	phi6 := paperdata.Phi6()
 	target := cind.MustNew(order, book,
 		[]string{"title", "price"}, []string{"title", "price"},
 		[]string{"type"}, []string{"format"},
@@ -358,12 +346,7 @@ func benchSigma1() []*md.MD {
 
 func BenchmarkMDImplication(b *testing.B) {
 	sigma := benchSigma1()
-	card := paperdata.CardSchema()
-	billing := paperdata.BillingSchema()
-	rck2 := md.MustRelativeKey(card, billing,
-		[]string{"LN", "tel", "FN"}, []string{"SN", "phn", "FN"},
-		[]similarity.Op{similarity.Eq(), similarity.Eq(), similarity.EditOp(0.8)},
-		paperdata.Yc(), paperdata.Yb())
+	rck2 := paperdata.RCKs()[1]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if !md.Implies(sigma, rck2) {

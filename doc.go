@@ -15,5 +15,6 @@
 // EXPERIMENTS.md for paper-vs-measured results, and the examples/
 // directory for runnable walk-throughs. The root-level benchmarks in
 // bench_test.go regenerate the scaling behaviour behind every table and
-// figure of the paper; cmd/dqbench checks the qualitative claims.
+// figure of the paper; tests check the qualitative claims, each one named
+// by its experiment id in DESIGN.md (TestPaperClaims in claims_test.go).
 package repro

@@ -14,29 +14,11 @@ import (
 	"repro/internal/match"
 	"repro/internal/md"
 	"repro/internal/paperdata"
-	"repro/internal/similarity"
 )
 
 func main() {
-	card := paperdata.CardSchema()
-	billing := paperdata.BillingSchema()
-	eq := similarity.Eq()
-	m := similarity.MatchOp()
-	ed := similarity.EditOp(0.8)
-
 	// Example 3.1's MDs φ1–φ4.
-	sigma := []*md.MD{
-		md.MustNew(card, billing, []md.PremiseSpec{{Left: "tel", Right: "phn", Op: eq}},
-			[]string{"addr"}, []string{"post"}, m),
-		md.MustNew(card, billing, []md.PremiseSpec{{Left: "email", Right: "email", Op: m}},
-			[]string{"FN", "LN"}, []string{"FN", "SN"}, m),
-		md.MustNew(card, billing, []md.PremiseSpec{
-			{Left: "LN", Right: "SN", Op: m}, {Left: "addr", Right: "post", Op: m}, {Left: "FN", Right: "FN", Op: m}},
-			paperdata.Yc(), paperdata.Yb(), m),
-		md.MustNew(card, billing, []md.PremiseSpec{
-			{Left: "LN", Right: "SN", Op: m}, {Left: "addr", Right: "post", Op: m}, {Left: "FN", Right: "FN", Op: ed}},
-			paperdata.Yc(), paperdata.Yb(), m),
-	}
+	sigma := paperdata.Sigma1()
 	fmt.Println("=== Σ1: the Example 3.1 matching dependencies ===")
 	for _, rule := range sigma {
 		fmt.Println("  ", rule)
@@ -62,14 +44,8 @@ func main() {
 		truthPairs = append(truthPairs, match.Pair{L: p[0], R: p[1]})
 	}
 
-	given := []*md.MD{
-		md.MustRelativeKey(card, billing,
-			[]string{"email", "addr"}, []string{"email", "post"},
-			[]similarity.Op{eq, eq}, paperdata.Yc(), paperdata.Yb()),
-		md.MustRelativeKey(card, billing,
-			[]string{"LN", "addr", "FN"}, []string{"SN", "post", "FN"},
-			[]similarity.Op{eq, eq, ed}, paperdata.Yc(), paperdata.Yb()),
-	}
+	rck := paperdata.RCKs()
+	given := []*md.MD{rck[0], rck[2]}
 
 	run := func(name string, rules []*md.MD) match.Quality {
 		matcher := &match.Matcher{

@@ -19,23 +19,8 @@ func main() {
 	db := paperdata.Figure3()
 	order := paperdata.OrderSchema()
 	book := paperdata.BookSchema()
-	cdS := paperdata.CDSchema()
 
-	phi4 := cind.MustNew(order, book,
-		[]string{"title", "price"}, []string{"title", "price"},
-		[]string{"type"}, nil,
-		cind.PatternRow{XpVals: []relation.Value{relation.Str("book")}})
-	phi5 := cind.MustNew(order, cdS,
-		[]string{"title", "price"}, []string{"album", "price"},
-		[]string{"type"}, nil,
-		cind.PatternRow{XpVals: []relation.Value{relation.Str("CD")}})
-	phi6 := cind.MustNew(cdS, book,
-		[]string{"album", "price"}, []string{"title", "price"},
-		[]string{"genre"}, []string{"format"},
-		cind.PatternRow{
-			XpVals: []relation.Value{relation.Str("a-book")},
-			YpVals: []relation.Value{relation.Str("audio")},
-		})
+	phi4, phi5, phi6 := paperdata.Phi4(), paperdata.Phi5(), paperdata.Phi6()
 	sigma := []*cind.CIND{phi4, phi5, phi6}
 
 	fmt.Println("=== Figure 4 CINDs over the Figure 3 database ===")

@@ -192,7 +192,7 @@ func Format(w io.Writer, set []*CFD) error {
 			return err
 		}
 		for _, row := range c.Tableau() {
-			if _, err := fmt.Fprintf(w, "  %s\n", formatRow(row)); err != nil {
+			if _, err := fmt.Fprintf(w, "  %s || %s\n", formatCells(row.LHS, true), formatCells(row.RHS, false)); err != nil {
 				return err
 			}
 		}
@@ -200,21 +200,39 @@ func Format(w io.Writer, set []*CFD) error {
 	return nil
 }
 
-func formatRow(r PatternRow) string {
-	return formatCells(r.LHS) + " || " + formatCells(r.RHS)
-}
-
-func formatCells(cs []Cell) string {
+// formatCells renders one side of a pattern row; lead marks the LHS,
+// whose first cell starts the line. Null is written as two single quotes
+// (an empty constant), and a string Parse would misread bare is quoted.
+func formatCells(cs []Cell, lead bool) string {
 	parts := make([]string, len(cs))
 	for i, c := range cs {
+		v := c.Value()
 		switch {
 		case c.IsWildcard():
 			parts[i] = "_"
-		case c.Value().Kind() == relation.KindString && (c.Value().StrVal() == "_" || strings.ContainsAny(c.Value().StrVal(), ",|")):
-			parts[i] = "'" + c.Value().StrVal() + "'"
+		case v.IsNull():
+			parts[i] = "''"
+		case v.Kind() == relation.KindString && !readsBare(v.StrVal(), lead && i == 0):
+			parts[i] = "'" + v.StrVal() + "'"
 		default:
-			parts[i] = c.Value().String()
+			parts[i] = v.String()
 		}
 	}
 	return strings.Join(parts, ", ")
+}
+
+// readsBare reports whether parseCells reads s, written unquoted, back as
+// the string s: not the wildcard, not empty (Null), no surrounding space
+// or quotes, no comma outside quotes, and, as the first cell of a line,
+// neither a '#' comment nor a "cfd " header.
+func readsBare(s string, first bool) bool {
+	switch {
+	case s == "_" || s != strings.TrimSpace(s):
+		return false
+	case len(s) >= 2 && s[0] == '\'' && s[len(s)-1] == '\'':
+		return false
+	case first && (strings.HasPrefix(s, "#") || strings.HasPrefix(s, "cfd ")):
+		return false
+	}
+	return len(splitCells(s)) == 1
 }

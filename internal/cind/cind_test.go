@@ -11,25 +11,7 @@ import (
 
 // figure4 builds the CINDs ϕ4, ϕ5, ϕ6 of Figure 4.
 func figure4() (phi4, phi5, phi6 *cind.CIND) {
-	order := paperdata.OrderSchema()
-	book := paperdata.BookSchema()
-	cd := paperdata.CDSchema()
-	phi4 = cind.MustNew(order, book,
-		[]string{"title", "price"}, []string{"title", "price"},
-		[]string{"type"}, nil,
-		cind.PatternRow{XpVals: []relation.Value{relation.Str("book")}})
-	phi5 = cind.MustNew(order, cd,
-		[]string{"title", "price"}, []string{"album", "price"},
-		[]string{"type"}, nil,
-		cind.PatternRow{XpVals: []relation.Value{relation.Str("CD")}})
-	phi6 = cind.MustNew(cd, book,
-		[]string{"album", "price"}, []string{"title", "price"},
-		[]string{"genre"}, []string{"format"},
-		cind.PatternRow{
-			XpVals: []relation.Value{relation.Str("a-book")},
-			YpVals: []relation.Value{relation.Str("audio")},
-		})
-	return
+	return paperdata.Phi4(), paperdata.Phi5(), paperdata.Phi6()
 }
 
 // TestFigure4CINDs reproduces the paper's Figure 3/4 claims: D1 satisfies

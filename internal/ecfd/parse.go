@@ -227,15 +227,7 @@ func Format(w io.Writer, set []*ECFD) error {
 			return err
 		}
 		for _, row := range e.tableau {
-			l := make([]string, len(row.LHS))
-			for i, c := range row.LHS {
-				l[i] = formatCell(c)
-			}
-			r := make([]string, len(row.RHS))
-			for i, c := range row.RHS {
-				r[i] = formatCell(c)
-			}
-			if _, err := fmt.Fprintf(w, "  %s || %s\n", strings.Join(l, ", "), strings.Join(r, ", ")); err != nil {
+			if _, err := fmt.Fprintf(w, "  %s || %s\n", formatCells(row.LHS, true), formatCells(row.RHS, false)); err != nil {
 				return err
 			}
 		}
@@ -243,21 +235,98 @@ func Format(w io.Writer, set []*ECFD) error {
 	return nil
 }
 
-func formatCell(c Cell) string {
-	switch c.op {
-	case OpAny:
-		return "_"
-	case OpIn:
-		return "in" + plainSet(c.set)
-	default:
-		return "notin" + plainSet(c.set)
+// formatCells renders one side of a pattern row; lead marks the LHS,
+// whose first cell starts the line.
+func formatCells(cs []Cell, lead bool) string {
+	parts := make([]string, len(cs))
+	for i, c := range cs {
+		parts[i] = formatCell(c, lead && i == 0, i == len(cs)-1)
 	}
+	return strings.Join(parts, ", ")
 }
 
-func plainSet(vs []relation.Value) string {
-	parts := make([]string, len(vs))
-	for i, v := range vs {
-		parts[i] = v.String()
+// formatCell writes in{v1,...} or notin{...} with Null as the empty value,
+// or a one-value ∈ cell no set can hold as its bare constant. first marks
+// a line's first cell, last a side's final one, whose braces may be unbalanced.
+func formatCell(c Cell, first, last bool) string {
+	if c.op == OpAny {
+		return "_"
 	}
-	return "{" + strings.Join(parts, ",") + "}"
+	vals := make([]string, len(c.set))
+	for i, v := range c.set {
+		if !v.IsNull() {
+			vals[i] = v.String()
+		}
+	}
+	name := "in"
+	if c.op == OpNotIn {
+		name = "notin"
+	}
+	if seq := setValues(vals, last); seq != nil {
+		return name + "{" + strings.Join(seq, ",") + "}"
+	}
+	if c.op == OpIn && len(vals) == 1 && readsBare(vals[0], first, last) {
+		return vals[0]
+	}
+	return name + "{" + strings.Join(vals, ",") + "}"
+}
+
+// readsBare reports whether parseCell reads s, written as a bare cell,
+// back as the constant s.
+func readsBare(s string, first, last bool) bool {
+	switch {
+	case s == "_" || s != strings.TrimSpace(s) || len(splitTop(s)) != 1:
+		return false
+	case !last && strings.Count(s, "{") != strings.Count(s, "}"):
+		return false
+	case strings.HasSuffix(s, "}") && (strings.HasPrefix(s, "in{") || strings.HasPrefix(s, "notin{")):
+		return false
+	}
+	return !first || !strings.HasPrefix(s, "#") && !strings.HasPrefix(s, "ecfd ")
+}
+
+// setValues returns the values to write between a set cell's braces so that
+// splitTop reads the cell back whole, or nil. Parse keeps the first of equal
+// values, so a repeat changes only the brace depth at the commas.
+func setValues(vals []string, last bool) []string {
+	if strings.Contains(strings.Join(vals, ""), ",") {
+		return nil
+	}
+	seq := make([]string, 0, len(vals))
+	failed := make(map[[3]int]bool)
+	// walk writes vals[next:] from brace depth depth with extra repeats.
+	var walk func(next, depth, extra int) bool
+	walk = func(next, depth, extra int) bool {
+		if next == len(vals) && (last || depth == 1) {
+			return true
+		}
+		key := [3]int{next, depth, extra}
+		if failed[key] || next > 0 && depth == 0 { // the next comma would split the cell
+			return false
+		}
+		emit := func(v string, next, extra int) bool {
+			seq = append(seq, v)
+			if walk(next, depth+strings.Count(v, "{")-strings.Count(v, "}"), extra) {
+				return true
+			}
+			seq = seq[:len(seq)-1]
+			return false
+		}
+		if next < len(vals) && emit(vals[next], next+1, extra) {
+			return true
+		}
+		for _, v := range vals[:next] {
+			if extra > 0 && emit(v, next, extra-1) {
+				return true
+			}
+		}
+		failed[key] = true
+		return false
+	}
+	for extra := 0; extra <= len(vals); extra++ {
+		if walk(0, 1, extra) {
+			return seq
+		}
+	}
+	return nil
 }

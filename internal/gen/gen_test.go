@@ -7,7 +7,6 @@ import (
 	"repro/internal/cind"
 	"repro/internal/gen"
 	"repro/internal/paperdata"
-	"repro/internal/relation"
 )
 
 func TestCustomersCleanSatisfiesFigure2(t *testing.T) {
@@ -67,23 +66,7 @@ func TestCustomersDeterministic(t *testing.T) {
 }
 
 func figure4Sigma() []*cind.CIND {
-	order := paperdata.OrderSchema()
-	book := paperdata.BookSchema()
-	cdS := paperdata.CDSchema()
-	return []*cind.CIND{
-		cind.MustNew(order, book, []string{"title", "price"}, []string{"title", "price"},
-			[]string{"type"}, nil,
-			cind.PatternRow{XpVals: []relation.Value{relation.Str("book")}}),
-		cind.MustNew(order, cdS, []string{"title", "price"}, []string{"album", "price"},
-			[]string{"type"}, nil,
-			cind.PatternRow{XpVals: []relation.Value{relation.Str("CD")}}),
-		cind.MustNew(cdS, book, []string{"album", "price"}, []string{"title", "price"},
-			[]string{"genre"}, []string{"format"},
-			cind.PatternRow{
-				XpVals: []relation.Value{relation.Str("a-book")},
-				YpVals: []relation.Value{relation.Str("audio")},
-			}),
-	}
+	return []*cind.CIND{paperdata.Phi4(), paperdata.Phi5(), paperdata.Phi6()}
 }
 
 func TestOrdersCleanSatisfiesCINDs(t *testing.T) {

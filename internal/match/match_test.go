@@ -13,47 +13,21 @@ import (
 
 // sigma1 rebuilds the Example 3.1 MDs φ1–φ4.
 func sigma1() (card, billing *relation.Schema, set []*md.MD) {
-	card = paperdata.CardSchema()
-	billing = paperdata.BillingSchema()
-	eq := similarity.Eq()
-	m := similarity.MatchOp()
-	ed := similarity.EditOp(0.8)
-	set = []*md.MD{
-		md.MustNew(card, billing, []md.PremiseSpec{{Left: "tel", Right: "phn", Op: eq}},
-			[]string{"addr"}, []string{"post"}, m),
-		md.MustNew(card, billing, []md.PremiseSpec{{Left: "email", Right: "email", Op: m}},
-			[]string{"FN", "LN"}, []string{"FN", "SN"}, m),
-		md.MustNew(card, billing, []md.PremiseSpec{
-			{Left: "LN", Right: "SN", Op: m}, {Left: "addr", Right: "post", Op: m}, {Left: "FN", Right: "FN", Op: m}},
-			paperdata.Yc(), paperdata.Yb(), m),
-		md.MustNew(card, billing, []md.PremiseSpec{
-			{Left: "LN", Right: "SN", Op: m}, {Left: "addr", Right: "post", Op: m}, {Left: "FN", Right: "FN", Op: ed}},
-			paperdata.Yc(), paperdata.Yb(), m),
-	}
-	return card, billing, set
+	return paperdata.CardSchema(), paperdata.BillingSchema(), paperdata.Sigma1()
 }
 
 // givenRules are the paper's hand-written matching rules rck1 and rck3
 // (the comparison vectors practitioners start from).
-func givenRules(card, billing *relation.Schema) []*md.MD {
-	eq := similarity.Eq()
-	ed := similarity.EditOp(0.8)
-	return []*md.MD{
-		md.MustRelativeKey(card, billing,
-			[]string{"email", "addr"}, []string{"email", "post"},
-			[]similarity.Op{eq, eq}, paperdata.Yc(), paperdata.Yb()),
-		md.MustRelativeKey(card, billing,
-			[]string{"LN", "addr", "FN"}, []string{"SN", "post", "FN"},
-			[]similarity.Op{eq, eq, ed}, paperdata.Yc(), paperdata.Yb()),
-	}
+func givenRules() []*md.MD {
+	rck := paperdata.RCKs()
+	return []*md.MD{rck[0], rck[2]}
 }
 
 func TestMatcherOnCleanPairs(t *testing.T) {
-	cardS, billingS, _ := sigma1()
 	card, billing, truth := gen.CardBilling(gen.CardBillingConfig{NPersons: 60, Seed: 3})
 	m := &match.Matcher{
 		Left: card, Right: billing,
-		Rules:   givenRules(cardS, billingS),
+		Rules:   givenRules(),
 		TargetL: paperdata.Yc(), TargetR: paperdata.Yb(),
 	}
 	pairs, err := m.Pairs()
@@ -75,7 +49,7 @@ func TestMatcherOnCleanPairs(t *testing.T) {
 // missed by the given rules but identified by RCKs derived from Σ1 via
 // implication analysis.
 func TestDerivedRCKsImproveRecall(t *testing.T) {
-	cardS, billingS, set := sigma1()
+	_, _, set := sigma1()
 	card, billing, truth := gen.CardBilling(gen.CardBillingConfig{
 		NPersons:        120,
 		Seed:            7,
@@ -90,7 +64,7 @@ func TestDerivedRCKsImproveRecall(t *testing.T) {
 
 	given := &match.Matcher{
 		Left: card, Right: billing,
-		Rules:   givenRules(cardS, billingS),
+		Rules:   givenRules(),
 		TargetL: paperdata.Yc(), TargetR: paperdata.Yb(),
 	}
 	gp, err := given.Pairs()
@@ -105,7 +79,7 @@ func TestDerivedRCKsImproveRecall(t *testing.T) {
 	}
 	withDerived := &match.Matcher{
 		Left: card, Right: billing,
-		Rules:   append(append([]*md.MD(nil), givenRules(cardS, billingS)...), derived...),
+		Rules:   append(append([]*md.MD(nil), givenRules()...), derived...),
 		TargetL: paperdata.Yc(), TargetR: paperdata.Yb(),
 	}
 	dp, err := withDerived.Pairs()

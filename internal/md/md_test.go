@@ -12,57 +12,14 @@ import (
 // sigma1 builds Σ1 of Example 4.3: the MDs φ1–φ4 of Example 3.1 over the
 // card/billing schemas of Section 3.1.
 func sigma1() (left, right *relation.Schema, set []*md.MD) {
-	card := paperdata.CardSchema()
-	billing := paperdata.BillingSchema()
-	eq := similarity.Eq()
-	match := similarity.MatchOp()
-	ed := similarity.EditOp(0.8) // the paper's ≈d (edit distance based)
-
-	phi1 := md.MustNew(card, billing,
-		[]md.PremiseSpec{{Left: "tel", Right: "phn", Op: eq}},
-		[]string{"addr"}, []string{"post"}, match)
-	phi2 := md.MustNew(card, billing,
-		[]md.PremiseSpec{{Left: "email", Right: "email", Op: match}},
-		[]string{"FN", "LN"}, []string{"FN", "SN"}, match)
-	phi3 := md.MustNew(card, billing,
-		[]md.PremiseSpec{
-			{Left: "LN", Right: "SN", Op: match},
-			{Left: "addr", Right: "post", Op: match},
-			{Left: "FN", Right: "FN", Op: match},
-		},
-		paperdata.Yc(), paperdata.Yb(), match)
-	phi4 := md.MustNew(card, billing,
-		[]md.PremiseSpec{
-			{Left: "LN", Right: "SN", Op: match},
-			{Left: "addr", Right: "post", Op: match},
-			{Left: "FN", Right: "FN", Op: ed},
-		},
-		paperdata.Yc(), paperdata.Yb(), match)
-	return card, billing, []*md.MD{phi1, phi2, phi3, phi4}
-}
-
-// rcks builds rck1–rck3 of Example 3.2.
-func rcks(card, billing *relation.Schema) []*md.MD {
-	eq := similarity.Eq()
-	ed := similarity.EditOp(0.8)
-	rck1 := md.MustRelativeKey(card, billing,
-		[]string{"email", "addr"}, []string{"email", "post"},
-		[]similarity.Op{eq, eq}, paperdata.Yc(), paperdata.Yb())
-	rck2 := md.MustRelativeKey(card, billing,
-		[]string{"LN", "tel", "FN"}, []string{"SN", "phn", "FN"},
-		[]similarity.Op{eq, eq, ed}, paperdata.Yc(), paperdata.Yb())
-	rck3 := md.MustRelativeKey(card, billing,
-		[]string{"LN", "addr", "FN"}, []string{"SN", "post", "FN"},
-		[]similarity.Op{eq, eq, ed}, paperdata.Yc(), paperdata.Yb())
-	return []*md.MD{rck1, rck2, rck3}
+	return paperdata.CardSchema(), paperdata.BillingSchema(), paperdata.Sigma1()
 }
 
 // TestExample43RCKImplication reproduces Example 4.3: Σ1 ⊨m rck_i for
 // each i ∈ [1,3].
 func TestExample43RCKImplication(t *testing.T) {
-	card, billing, set := sigma1()
-	for i, rck := range rcks(card, billing) {
-		if !md.Implies(set, rck) {
+	for i, rck := range paperdata.RCKs() {
+		if !md.Implies(paperdata.Sigma1(), rck) {
 			t.Errorf("Σ1 ⊨m rck%d failed: %v", i+1, rck)
 		}
 	}
@@ -72,7 +29,7 @@ func TestExample43RCKImplication(t *testing.T) {
 // implied, and an unrelated conclusion never follows.
 func TestImplicationNegative(t *testing.T) {
 	card, billing, set := sigma1()
-	keys := rcks(card, billing)
+	keys := paperdata.RCKs()
 	// Without φ2 (email bridge), rck1 is no longer derivable.
 	noPhi2 := []*md.MD{set[0], set[2], set[3]}
 	if md.Implies(noPhi2, keys[0]) {
@@ -150,8 +107,8 @@ func TestMDConstructorValidation(t *testing.T) {
 }
 
 func TestRelativeKeyPredicate(t *testing.T) {
-	card, billing, set := sigma1()
-	keys := rcks(card, billing)
+	_, _, set := sigma1()
+	keys := paperdata.RCKs()
 	for i, k := range keys {
 		if !k.IsRelativeKey() {
 			t.Errorf("rck%d must be a relative key", i+1)
@@ -178,7 +135,7 @@ func TestRelativeKeyPredicate(t *testing.T) {
 
 func TestLessEqOrder(t *testing.T) {
 	card, billing, _ := sigma1()
-	keys := rcks(card, billing)
+	keys := paperdata.RCKs()
 	// rck1 and rck2 are incomparable.
 	if keys[0].LessEq(keys[1]) || keys[1].LessEq(keys[0]) {
 		t.Error("rck1 and rck2 must be incomparable")
@@ -213,7 +170,7 @@ func TestLessEqOrder(t *testing.T) {
 // candidate keys from Σ1 and verify they include (keys at least as small
 // as) the paper's rck1–rck3.
 func TestDeriveRCKs(t *testing.T) {
-	card, billing, set := sigma1()
+	_, _, set := sigma1()
 	derived, err := md.DeriveRCKs(set, paperdata.Yc(), paperdata.Yb(), md.DeriveOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +187,7 @@ func TestDeriveRCKs(t *testing.T) {
 		}
 	}
 	// Every paper key is dominated by (or equal to) some derived key.
-	for i, paper := range rcks(card, billing) {
+	for i, paper := range paperdata.RCKs() {
 		covered := false
 		for _, k := range derived {
 			if k.LessEq(paper) {
@@ -259,9 +216,9 @@ func TestDeriveRCKs(t *testing.T) {
 }
 
 func TestMinimalCoverMD(t *testing.T) {
-	card, billing, set := sigma1()
+	_, _, set := sigma1()
 	// Add a redundant MD: rck3 is implied by Σ1.
-	redundant := rcks(card, billing)[2]
+	redundant := paperdata.RCKs()[2]
 	cover := md.MinimalCover(append(append([]*md.MD(nil), set...), redundant))
 	if len(cover) >= len(set)+1 {
 		t.Errorf("cover did not shrink: %d MDs", len(cover))

@@ -2,15 +2,18 @@
 // worked example of Fan (PODS 2008): the customer instance D0 of Figure 1
 // with its FDs f1, f2 and CFDs ϕ1–ϕ3 of Figure 2; the order/book/CD
 // instance D1 of Figure 3 with the CINDs ϕ4–ϕ6 of Figure 4; the
-// inconsistent CFD pair of Example 4.1; and the schemas of the Section 3
-// card/billing fraud-detection scenario. Tests, benchmarks and the example
-// programs all build on these fixtures so that the reproduction asserts
-// exactly the satisfaction/violation outcomes the paper states.
+// inconsistent CFD pair of Example 4.1; and the schemas, the MDs Σ1 and
+// the keys rck1–rck3 of the Section 3 card/billing scenario. Tests,
+// benchmarks and the example programs all build on these fixtures so that
+// the reproduction asserts exactly the outcomes the paper states.
 package paperdata
 
 import (
 	"repro/internal/cfd"
+	"repro/internal/cind"
+	"repro/internal/md"
 	"repro/internal/relation"
+	"repro/internal/similarity"
 )
 
 // CustomerSchema returns the Section 2.1 schema
@@ -163,6 +166,34 @@ func Figure3() *relation.Database {
 	return db
 }
 
+// Phi4 returns ϕ4 (cind1) of Figure 4: order[title, price; type] ⊆ book[title, price; nil], (book ‖ ).
+func Phi4() *cind.CIND {
+	return cind.MustNew(OrderSchema(), BookSchema(),
+		[]string{"title", "price"}, []string{"title", "price"},
+		[]string{"type"}, nil,
+		cind.PatternRow{XpVals: []relation.Value{relation.Str("book")}})
+}
+
+// Phi5 returns ϕ5 (cind2) of Figure 4: order[title, price; type] ⊆ CD[album, price; nil], (CD ‖ ).
+func Phi5() *cind.CIND {
+	return cind.MustNew(OrderSchema(), CDSchema(),
+		[]string{"title", "price"}, []string{"album", "price"},
+		[]string{"type"}, nil,
+		cind.PatternRow{XpVals: []relation.Value{relation.Str("CD")}})
+}
+
+// Phi6 returns ϕ6 (cind3) of Figure 4, which Figure 3's t9 violates:
+// CD[album, price; genre] ⊆ book[title, price; format], (a-book ‖ audio).
+func Phi6() *cind.CIND {
+	return cind.MustNew(CDSchema(), BookSchema(),
+		[]string{"album", "price"}, []string{"title", "price"},
+		[]string{"genre"}, []string{"format"},
+		cind.PatternRow{
+			XpVals: []relation.Value{relation.Str("a-book")},
+			YpVals: []relation.Value{relation.Str("audio")},
+		})
+}
+
 // CardSchema returns the Section 3.1 source schema
 // card(c#, SSN, FN, LN, addr, tel, email, type).
 func CardSchema() *relation.Schema {
@@ -200,3 +231,40 @@ func Yc() []string { return []string{"FN", "LN", "addr", "tel", "email"} }
 // Yb returns the billing-side identity attribute list of Section 3.1:
 // [FN, SN, post, phn, email].
 func Yb() []string { return []string{"FN", "SN", "post", "phn", "email"} }
+
+// Sigma1 returns Σ1, the matching dependencies φ1–φ4 of Example 3.1 from
+// card to billing; φ4 compares FN by ≈d, the 0.8 edit-distance similarity.
+func Sigma1() []*md.MD {
+	card, billing := CardSchema(), BillingSchema()
+	eq, m, ed := similarity.Eq(), similarity.MatchOp(), similarity.EditOp(0.8)
+	return []*md.MD{
+		md.MustNew(card, billing, []md.PremiseSpec{{Left: "tel", Right: "phn", Op: eq}},
+			[]string{"addr"}, []string{"post"}, m),
+		md.MustNew(card, billing, []md.PremiseSpec{{Left: "email", Right: "email", Op: m}},
+			[]string{"FN", "LN"}, []string{"FN", "SN"}, m),
+		md.MustNew(card, billing, []md.PremiseSpec{
+			{Left: "LN", Right: "SN", Op: m}, {Left: "addr", Right: "post", Op: m}, {Left: "FN", Right: "FN", Op: m}},
+			Yc(), Yb(), m),
+		md.MustNew(card, billing, []md.PremiseSpec{
+			{Left: "LN", Right: "SN", Op: m}, {Left: "addr", Right: "post", Op: m}, {Left: "FN", Right: "FN", Op: ed}},
+			Yc(), Yb(), m),
+	}
+}
+
+// RCKs returns the relative candidate keys rck1–rck3 of Example 3.2 for
+// (Yc, Yb), each of which Σ1 implies (Example 4.3).
+func RCKs() []*md.MD {
+	card, billing := CardSchema(), BillingSchema()
+	eq, ed := similarity.Eq(), similarity.EditOp(0.8)
+	return []*md.MD{
+		md.MustRelativeKey(card, billing,
+			[]string{"email", "addr"}, []string{"email", "post"},
+			[]similarity.Op{eq, eq}, Yc(), Yb()),
+		md.MustRelativeKey(card, billing,
+			[]string{"LN", "tel", "FN"}, []string{"SN", "phn", "FN"},
+			[]similarity.Op{eq, eq, ed}, Yc(), Yb()),
+		md.MustRelativeKey(card, billing,
+			[]string{"LN", "addr", "FN"}, []string{"SN", "post", "FN"},
+			[]similarity.Op{eq, eq, ed}, Yc(), Yb()),
+	}
+}

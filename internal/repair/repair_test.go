@@ -15,7 +15,7 @@ import (
 // TestExample51RepairCount reproduces Example 5.1: Dn (2n tuples, key
 // A → B) has exactly 2^n X-repairs.
 func TestExample51RepairCount(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 5, 8} {
+	for _, n := range []int{1, 2, 3, 5, 8, 10} {
 		in := gen.Example51(n)
 		db := relation.NewDatabase()
 		db.Add(in)

@@ -175,9 +175,7 @@ func TestMDImplicationSoundOnData(t *testing.T) {
 			{Left: "LN", Right: "SN", Op: m}, {Left: "addr", Right: "post", Op: m}, {Left: "FN", Right: "FN", Op: ed}},
 			paperdata.Yc(), paperdata.Yb(), m),
 	}
-	key := md.MustRelativeKey(card, billing,
-		[]string{"LN", "tel", "FN"}, []string{"SN", "phn", "FN"},
-		[]similarity.Op{eq, eq, ed}, paperdata.Yc(), paperdata.Yb())
+	key := paperdata.RCKs()[1] // rck2
 	if !md.Implies(sigma, key) {
 		t.Fatal("Σ ⊨ key expected")
 	}
@@ -224,23 +222,7 @@ func TestCrossFormalismAgreement(t *testing.T) {
 // TestCINDRepairModesConverge: both CIND repair modes reach consistency
 // on generated order databases.
 func TestCINDRepairModesConverge(t *testing.T) {
-	order := paperdata.OrderSchema()
-	book := paperdata.BookSchema()
-	cdS := paperdata.CDSchema()
-	sigma := []*cind.CIND{
-		cind.MustNew(order, book, []string{"title", "price"}, []string{"title", "price"},
-			[]string{"type"}, nil,
-			cind.PatternRow{XpVals: []relation.Value{relation.Str("book")}}),
-		cind.MustNew(order, cdS, []string{"title", "price"}, []string{"album", "price"},
-			[]string{"type"}, nil,
-			cind.PatternRow{XpVals: []relation.Value{relation.Str("CD")}}),
-		cind.MustNew(cdS, book, []string{"album", "price"}, []string{"title", "price"},
-			[]string{"genre"}, []string{"format"},
-			cind.PatternRow{
-				XpVals: []relation.Value{relation.Str("a-book")},
-				YpVals: []relation.Value{relation.Str("audio")},
-			}),
-	}
+	sigma := []*cind.CIND{paperdata.Phi4(), paperdata.Phi5(), paperdata.Phi6()}
 	for _, mode := range []repair.RepairCINDMode{repair.InsertDemanded, repair.DeleteViolating} {
 		db := gen.Orders(gen.OrdersConfig{Books: 30, CDs: 30, Orders: 60, Seed: 5, ViolationRate: 0.2})
 		if _, err := repair.RepairCINDs(db, sigma, mode, 0); err != nil {
