@@ -327,25 +327,8 @@ func BenchmarkPropagationSPC(b *testing.B) {
 
 // --- E14/E15: MD implication, RCK derivation, matching ---------------------
 
-func benchSigma1() []*md.MD {
-	card := paperdata.CardSchema()
-	billing := paperdata.BillingSchema()
-	eq := similarity.Eq()
-	m := similarity.MatchOp()
-	ed := similarity.EditOp(0.8)
-	return []*md.MD{
-		md.MustNew(card, billing, []md.PremiseSpec{{Left: "tel", Right: "phn", Op: eq}},
-			[]string{"addr"}, []string{"post"}, m),
-		md.MustNew(card, billing, []md.PremiseSpec{{Left: "email", Right: "email", Op: m}},
-			[]string{"FN", "LN"}, []string{"FN", "SN"}, m),
-		md.MustNew(card, billing, []md.PremiseSpec{
-			{Left: "LN", Right: "SN", Op: m}, {Left: "addr", Right: "post", Op: m}, {Left: "FN", Right: "FN", Op: ed}},
-			paperdata.Yc(), paperdata.Yb(), m),
-	}
-}
-
 func BenchmarkMDImplication(b *testing.B) {
-	sigma := benchSigma1()
+	sigma := paperdata.Sigma1()
 	rck2 := paperdata.RCKs()[1]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -356,7 +339,7 @@ func BenchmarkMDImplication(b *testing.B) {
 }
 
 func BenchmarkRCKDerivation(b *testing.B) {
-	sigma := benchSigma1()
+	sigma := paperdata.Sigma1()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := md.DeriveRCKs(sigma, paperdata.Yc(), paperdata.Yb(), md.DeriveOptions{}); err != nil {
@@ -366,7 +349,7 @@ func BenchmarkRCKDerivation(b *testing.B) {
 }
 
 func BenchmarkObjectIdentification(b *testing.B) {
-	sigma := benchSigma1()
+	sigma := paperdata.Sigma1()
 	derived, err := md.DeriveRCKs(sigma, paperdata.Yc(), paperdata.Yb(), md.DeriveOptions{})
 	if err != nil {
 		b.Fatal(err)

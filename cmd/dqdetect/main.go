@@ -17,7 +17,8 @@
 //
 // -follow switches from one-shot batch detection to monitoring: after
 // the initial report, the update log is replayed batch by batch through
-// one stateful detect.DBMonitor over the whole database, printing the
+// one stateful detect.ShardedDBMonitor (one shard unless -shards says
+// otherwise) over the whole database, printing the
 // violations each batch gained and cleared — steady-state cost
 // proportional to the touched groups, not the instances. A batch may
 // mix relations (a CIND's source and target in one commit); the log is
@@ -33,8 +34,8 @@
 // like the relation's CSV cells.
 //
 // -shards N hash-partitions the database across N shards and runs the
-// scatter-gather engine paths — DetectBatchSharded one-shot, a
-// ShardedDBMonitor under -follow — producing byte-identical reports.
+// scatter-gather engine paths — DetectBatchSharded one-shot, the
+// -follow monitor over N shards — producing byte-identical reports.
 // The partition key per relation is derived from the rules (the
 // attributes every CFD/eCFD LHS on that relation shares) or pinned
 // with repeatable -shard-key rel=attr1,attr2 flags.
@@ -217,59 +218,49 @@ func main() {
 
 	// -shards hash-partitions the database up front; detection and the
 	// -follow monitor then run the scatter-gather paths, byte-identical
-	// to the single-partition engine.
-	var sdb *relation.ShardedDB
-	if *shards > 1 {
-		keys := resolveShardKeys(shardKeys, schemas)
-		if keys == nil {
-			derived, err := detect.DeriveShardKeys(rules)
-			if err != nil {
-				log.Fatal(err)
-			}
-			keys = derived
-		}
+	// to the single-partition engine. The -follow monitor runs at one
+	// shard too: Partition adopts the database then, copying nothing.
+	if *shards < 1 {
+		log.Fatal("-shards must be at least 1")
+	}
+	perDep := make(map[any][]detect.Violation)
+	var monitor *detect.ShardedDBMonitor
+	if *follow != "" || *shards > 1 {
 		p := relation.NewPartitioner(*shards)
-		for rel, pos := range keys {
-			p.SetKey(rel, pos)
+		if *shards > 1 {
+			keys := resolveShardKeys(shardKeys, schemas)
+			if keys == nil {
+				derived, err := detect.DeriveShardKeys(rules)
+				if err != nil {
+					log.Fatal(err)
+				}
+				keys = derived
+			}
+			for rel, pos := range keys {
+				p.SetKey(rel, pos)
+			}
 		}
-		var err error
-		sdb, err = relation.Partition(db, p)
+		sdb, err := relation.Partition(db, p)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("partitioned into %d shards\n", *shards)
-	} else if *shards < 1 {
-		log.Fatal("-shards must be at least 1")
-	}
-
-	perDep := make(map[any][]detect.Violation)
-	var monitor batchMonitor
-	if *follow != "" {
-		if sdb != nil {
-			m, err := detect.NewShardedDBMonitor(engine, sdb, rules)
-			if err != nil {
-				log.Fatal(err)
-			}
-			monitor = m
-		} else {
-			monitor = detect.NewDBMonitor(engine, db, rules)
+		if *shards > 1 {
+			fmt.Printf("partitioned into %d shards\n", *shards)
 		}
-		for _, v := range monitor.Violations() {
-			perDep[depOf(v)] = append(perDep[depOf(v)], v)
+		var vs []detect.Violation
+		if *follow == "" {
+			vs, err = engine.DetectBatchSharded(sdb, rules)
+		} else if monitor, err = detect.NewShardedDBMonitor(engine, sdb, rules); err == nil {
+			vs = monitor.Violations()
 		}
-		// Match the batch-mode report: each rule's run in per-rule detect
-		// order, as the stream delivers it.
-		for _, vs := range perDep {
-			sortDetectOrder(vs)
-		}
-	} else if sdb != nil {
-		vs, err := engine.DetectBatchSharded(sdb, rules)
 		if err != nil {
 			log.Fatal(err)
 		}
 		for _, v := range vs {
 			perDep[depOf(v)] = append(perDep[depOf(v)], v)
 		}
+		// Match the one-shard batch report: each rule's run in per-rule
+		// detect order, as the stream delivers it.
 		for _, vs := range perDep {
 			sortDetectOrder(vs)
 		}
@@ -308,15 +299,6 @@ func main() {
 	if total > 0 {
 		os.Exit(1)
 	}
-}
-
-// batchMonitor is the -follow surface both monitor flavours share:
-// detect.DBMonitor over one database, detect.ShardedDBMonitor over a
-// hash-partitioned one.
-type batchMonitor interface {
-	Apply(batch []detect.DBOp) (gained, cleared []detect.Violation, err error)
-	Violations() []detect.Violation
-	Len() int
 }
 
 // parseRules opens and parses one rule file with the class parser.
@@ -383,7 +365,7 @@ func sortDetectOrder(vs []detect.Violation) {
 // internal/oplog (the wire format cmd/dqserve's POST /batch shares) —
 // printing each batch's gained/cleared diff, and returns the number of
 // violations outstanding at EOF.
-func followLog(path string, m batchMonitor, schemas map[string]*relation.Schema, max int) (int, error) {
+func followLog(path string, m *detect.ShardedDBMonitor, schemas map[string]*relation.Schema, max int) (int, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, err

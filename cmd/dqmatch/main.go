@@ -18,7 +18,6 @@ import (
 	"repro/internal/md"
 	"repro/internal/paperdata"
 	"repro/internal/relation"
-	"repro/internal/similarity"
 )
 
 func main() {
@@ -50,23 +49,7 @@ func main() {
 		}
 		fmt.Printf("loaded %d MDs from %s\n", len(sigma), *rulesPath)
 	} else {
-		eq := similarity.Eq()
-		m := similarity.MatchOp()
-		ed := similarity.EditOp(0.8)
-		sigma = []*md.MD{
-			md.MustNew(card.Schema(), billing.Schema(),
-				[]md.PremiseSpec{{Left: "tel", Right: "phn", Op: eq}},
-				[]string{"addr"}, []string{"post"}, m),
-			md.MustNew(card.Schema(), billing.Schema(),
-				[]md.PremiseSpec{{Left: "email", Right: "email", Op: m}},
-				[]string{"FN", "LN"}, []string{"FN", "SN"}, m),
-			md.MustNew(card.Schema(), billing.Schema(),
-				[]md.PremiseSpec{
-					{Left: "LN", Right: "SN", Op: m},
-					{Left: "addr", Right: "post", Op: m},
-					{Left: "FN", Right: "FN", Op: ed}},
-				paperdata.Yc(), paperdata.Yb(), m),
-		}
+		sigma = paperdata.Sigma1On(card.Schema(), billing.Schema())
 	}
 	rcks, err := md.DeriveRCKs(sigma, paperdata.Yc(), paperdata.Yb(), md.DeriveOptions{})
 	if err != nil {

@@ -1,7 +1,8 @@
 // Command dqserve runs violation detection as a long-lived monitoring
 // service: it loads CSV relations and rule files — CFDs, CINDs and
 // eCFDs — like dqdetect, pays one full detection to seed a
-// detect.DBMonitor, and then serves HTTP:
+// detect.ShardedDBMonitor (one shard unless -shards says otherwise),
+// and then serves HTTP:
 //
 //	POST /batch       ingest mutations in the dqdetect -follow op-log
 //	                  wire format (internal/oplog); each commit marker
@@ -150,7 +151,7 @@ func main() {
 	maxBatch := flag.Int("maxbatch", serve.DefaultMaxBatchOps, "max ops coalesced into one monitor batch")
 	subBuf := flag.Int("subbuf", serve.DefaultSubBuf, "per-subscriber delta buffer (commits a consumer may lag)")
 	drain := flag.Duration("drain", 10*time.Second, "shutdown budget for draining requests and the ingest queue")
-	shards := flag.Int("shards", 1, "hash-partition the database across N shards (per-shard apply, scatter-gather detection)")
+	shards := flag.Int("shards", 1, "hash-partition the database across N shards (per-shard apply, scatter-gather detection); 1 runs the same monitor over the unpartitioned database, which need not be shardable")
 	shardKeys := shardKeyFlags{}
 	flag.Var(shardKeys, "shard-key", "relation=attr1,attr2 partition key (repeatable; default: derived from the rules)")
 	dataDir := flag.String("data-dir", "", "durable data directory: WAL + checkpoints; restart recovers every acknowledged commit")

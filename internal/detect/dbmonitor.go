@@ -85,9 +85,9 @@ func NewDBMonitor(e *Engine, db *relation.Database, cs []Constraint) *DBMonitor 
 // against values the writer has already handed off: the *DBSnapshot a
 // previous Apply/Sync returned via Snapshot() stays immutable and
 // readable (COW tuple arrays, append-only dictionaries) while the next
-// Apply derives its successor, which is exactly the hand-off
-// internal/serve's single-writer ingest loop publishes to its
-// concurrent read endpoints. See serve.Service.
+// Apply derives its successor — the hand-off internal/serve's
+// single-writer ingest loop makes to its concurrent read endpoints with
+// the per-shard snapshots of a ShardedDBMonitor.
 func (m *DBMonitor) Apply(batch []DBOp) (gained, cleared []Violation, err error) {
 	for _, op := range batch {
 		in, ok := m.db.Instance(op.Rel)
@@ -163,12 +163,13 @@ type TouchCtx struct {
 	deltas map[string]*relation.Delta
 	co     map[string][]relation.TID
 
-	// coverInserts widens CoMembers to inserted TIDs. The unsharded
-	// monitor never needs it — fresh TIDs sort after every group member,
-	// so an insert cannot change a group's representative — but a
-	// sharded delta's inserts include cross-shard moves carrying old
-	// TIDs, which can steal representativeship of the group they join;
-	// the joined group then needs an old-side co-member too.
+	// coverInserts widens CoMembers to inserted TIDs. A single partition
+	// (DBMonitor, or a one-shard ShardedDBMonitor) never needs it —
+	// fresh TIDs sort after every group member, so an insert cannot
+	// change a group's representative — but with several shards a
+	// delta's inserts include cross-shard moves carrying old TIDs, which
+	// can steal representativeship of the group they join; the joined
+	// group then needs an old-side co-member too.
 	coverInserts bool
 }
 

@@ -29,6 +29,9 @@ import (
 //     target-side changes are broadcast (the replica is updated and the
 //     changed Y projections are probed against every shard's source
 //     index to find the flipped source tuples).
+//   - One shard has no seam: every group and every CIND target is
+//     local, so any batch is accepted and CINDs probe the target's own
+//     CodeIndex, exactly as on an unsharded database.
 //
 // Because TIDs are global (the ShardedDB allocates them) and the
 // per-shard results are merged through the same SortViolations
@@ -39,7 +42,8 @@ import (
 // under the partitioner, nil when it can. CFDs and eCFDs require the
 // primary relation's partition key to be a subset of their LHS; CINDs
 // always shard (via the replicated target-key index); constraint
-// classes beyond the built-ins are rejected.
+// classes beyond the built-ins are rejected. With one shard every group
+// and every CIND target is local, so any built-in batch passes.
 func CheckShardable(p *relation.Partitioner, cs []Constraint) error {
 	for _, c := range cs {
 		var lhs []int
@@ -53,6 +57,9 @@ func CheckShardable(p *relation.Partitioner, cs []Constraint) error {
 			continue
 		default:
 			return fmt.Errorf("detect: sharded evaluation supports CFD/CIND/eCFD constraints only, got %T", c.Dep())
+		}
+		if p.Shards() == 1 {
+			continue
 		}
 		key := p.Key(c.Primary())
 		if key == nil {
@@ -203,8 +210,13 @@ func dedupSorted(pos []int) []int {
 func tkKey(c *cind.CIND) string { return relPosKey(c.Dst().Name(), c.TargetKeyPos()) }
 
 // buildTargetKeys scans every shard's target snapshots into the
-// replicated key multisets.
+// replicated key multisets. One shard holds every target itself, so it
+// gets none (nil): its CINDs probe the target's own CodeIndex, as on an
+// unsharded database.
 func buildTargetKeys(snaps []*relation.DBSnapshot, cs []Constraint) map[string]*cind.KeyIndex {
+	if len(snaps) == 1 {
+		return nil
+	}
 	tk := make(map[string]*cind.KeyIndex)
 	for _, c := range cs {
 		cc, ok := c.(cindConstraint)
@@ -246,7 +258,7 @@ func (e *Engine) shardedEvalAll(snaps []*relation.DBSnapshot, cs []Constraint, t
 		ctxs[s] = e.planBatch(snaps[s], cs)
 	}
 	return e.fanShards(len(cs), len(snaps), func(ci, s int) []Violation {
-		if cc, ok := cs[ci].(cindConstraint); ok {
+		if cc, ok := cs[ci].(cindConstraint); ok && tk != nil {
 			src, _ := snaps[s].Snapshot(cc.c.Src().Name())
 			return box(cind.DetectWithKeys(src, cc.c, tk[tkKey(cc.c)]))
 		}
@@ -487,7 +499,7 @@ func (m *ShardedDBMonitor) Sync() (gained, cleared []Violation) {
 	for s := 0; s < S; s++ {
 		tcs[s] = &TouchCtx{
 			db: m.sdb.Shard(s), old: oldSnaps[s], new: newSnaps[s],
-			deltas: deltas[s], coverInserts: true,
+			deltas: deltas[s], coverInserts: S > 1,
 		}
 	}
 	yChanges := m.collectYChanges(deltas, oldSnaps, newSnaps)
@@ -564,7 +576,7 @@ func (m *ShardedDBMonitor) evalTouched(snaps []*relation.DBSnapshot, touched [][
 		if len(tl) == 0 {
 			return nil
 		}
-		if cc, ok := m.cs[ci].(cindConstraint); ok {
+		if cc, ok := m.cs[ci].(cindConstraint); ok && m.tkeys != nil {
 			src, _ := snaps[s].Snapshot(cc.c.Src().Name())
 			return box(cind.DetectTouchedWithKeys(src, cc.c, m.tkeys[tkKey(cc.c)], tl))
 		}
@@ -576,6 +588,9 @@ func (m *ShardedDBMonitor) evalTouched(snaps []*relation.DBSnapshot, touched [][
 // replicated key index: one Remove per departed key, one Add per
 // arrived key, Yp-only changes included (TargetKeyPos covers them).
 func (m *ShardedDBMonitor) applyKeyDeltas(deltas []map[string]*relation.Delta, oldSnaps, newSnaps []*relation.DBSnapshot) {
+	if m.tkeys == nil {
+		return
+	}
 	done := make(map[string]bool, len(m.tkeys))
 	buf := make([]byte, 0, 64)
 	for _, c := range m.cs {

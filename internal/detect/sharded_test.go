@@ -36,7 +36,9 @@ func shardOrders(t *testing.T, db *relation.Database, shards int, cs []Constrain
 	for rel, pos := range keys {
 		p.SetKey(rel, pos)
 	}
-	sdb, err := relation.Partition(db, p)
+	// Partition adopts a one-shard database instead of cutting it, so
+	// clone first: callers keep db as their unsharded shadow.
+	sdb, err := relation.Partition(db.Clone(), p)
 	if err != nil {
 		t.Fatalf("Partition: %v", err)
 	}
@@ -85,6 +87,10 @@ func TestCheckShardableRejects(t *testing.T) {
 	// CINDs alone shard under any placement.
 	if err := CheckShardable(relation.NewPartitioner(2), wrapMixed(nil, cinds, nil)); err != nil {
 		t.Fatalf("CIND-only batch must always shard: %v", err)
+	}
+	// One shard keeps every group local: the batch rejected above passes.
+	if err := CheckShardable(relation.NewPartitioner(1), cs); err != nil {
+		t.Fatalf("one shard must accept any CFD/CIND/eCFD batch: %v", err)
 	}
 }
 

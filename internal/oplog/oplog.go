@@ -1,7 +1,7 @@
 // Package oplog is the line-oriented update-log wire format shared by
 // cmd/dqdetect's -follow mode and cmd/dqserve's POST /batch endpoint:
 // a stream of insert/update/delete ops batched by commit markers, each
-// batch the unit a detect.DBMonitor applies atomically.
+// batch the unit a detect monitor applies atomically.
 //
 //	insert customer 44,131,1234567,Mike,Mayfield,NYC,EH4 8LE
 //	update customer 3 city=EDI

@@ -234,8 +234,12 @@ func Yb() []string { return []string{"FN", "SN", "post", "phn", "email"} }
 
 // Sigma1 returns Σ1, the matching dependencies φ1–φ4 of Example 3.1 from
 // card to billing; φ4 compares FN by ≈d, the 0.8 edit-distance similarity.
-func Sigma1() []*md.MD {
-	card, billing := CardSchema(), BillingSchema()
+func Sigma1() []*md.MD { return Sigma1On(CardSchema(), BillingSchema()) }
+
+// Sigma1On is Sigma1 over caller-supplied card and billing schemas —
+// relations loaded from CSV, say — which must carry the Yc and Yb
+// attributes by name.
+func Sigma1On(card, billing *relation.Schema) []*md.MD {
 	eq, m, ed := similarity.Eq(), similarity.MatchOp(), similarity.EditOp(0.8)
 	return []*md.MD{
 		md.MustNew(card, billing, []md.PremiseSpec{{Left: "tel", Right: "phn", Op: eq}},

@@ -212,3 +212,60 @@ func TestRoutingMatchesFlatApplication(t *testing.T) {
 		}
 	}
 }
+
+// TestPartitionOneShardAdopts: one shard takes the database over as
+// shard 0 instead of copying it. The directory and the TID counter
+// agree with the adopted instance, and routed inserts, updates and
+// deletes land in the database's own instances.
+func TestPartitionOneShardAdopts(t *testing.T) {
+	sch := MustSchema("r", Attr("k", KindString), Attr("v", KindString))
+	in := NewInstance(sch)
+	for _, k := range []string{"a", "b", "c"} {
+		in.MustInsert(Str(k), Str("x"))
+	}
+	in.Delete(1)
+	db := NewDatabase()
+	db.Add(in)
+	s, err := Partition(db, NewPartitioner(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Shard(0) != db || s.Shard(0).MustInstance("r") != in {
+		t.Fatal("one-shard Partition copied the database instead of adopting it")
+	}
+	if s.NextTID("r") != in.NextTID() {
+		t.Fatalf("NextTID %d, instance %d", s.NextTID("r"), in.NextTID())
+	}
+	for id := TID(0); id < in.NextTID(); id++ {
+		_, live := in.Tuple(id)
+		shard, ok := s.ShardOfTID("r", id)
+		if ok != live || (ok && shard != 0) {
+			t.Fatalf("tuple %d: directory (%d, %v), instance live %v", id, shard, ok, live)
+		}
+	}
+
+	r := s.NewRouting()
+	id, err := r.Insert("r", Tuple{Str("d"), Str("y")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Update("r", 0, 1, Str("z")); err != nil {
+		t.Fatal(err)
+	}
+	if !r.Delete("r", 2) {
+		t.Fatal("delete of a live tuple routed as missing")
+	}
+	applyAll(s, r)
+	if got, ok := in.Tuple(id); !ok || got[0] != Str("d") {
+		t.Fatalf("routed insert %d not in the adopted instance: %v", id, got)
+	}
+	if got, _ := in.Tuple(0); got[1] != Str("z") {
+		t.Fatalf("routed update not in the adopted instance: %v", got)
+	}
+	if _, ok := in.Tuple(2); ok {
+		t.Fatal("routed delete left the tuple in the adopted instance")
+	}
+	if s.NextTID("r") != in.NextTID() || in.Len() != 2 {
+		t.Fatalf("after the batch: NextTID %d vs %d, %d tuples", s.NextTID("r"), in.NextTID(), in.Len())
+	}
+}

@@ -50,8 +50,23 @@ func NewShardedDB(p *Partitioner) *ShardedDB {
 
 // Partition builds a ShardedDB from an existing database: every
 // instance is cut across the partitioner's shards with AddInstance.
+//
+// With one shard nothing is cut: the ShardedDB adopts db itself as
+// shard 0 (Shard(0) == db) and only builds the TID directory, so the
+// call copies no tuple. Ownership passes with it — from then on db is
+// mutated only through the ShardedDB's routings, like any shard.
 func Partition(db *Database, p *Partitioner) (*ShardedDB, error) {
 	s := NewShardedDB(p)
+	if p.Shards() == 1 {
+		s.shards[0] = db
+		for _, name := range db.Names() {
+			in := db.MustInstance(name)
+			s.schemas[name] = in.Schema()
+			s.nextID[name] = in.nextID
+		}
+		s.RebuildDir()
+		return s, nil
+	}
 	for _, name := range db.Names() {
 		if err := s.AddInstance(db.MustInstance(name)); err != nil {
 			return nil, err

@@ -359,93 +359,106 @@ func TestCheckpointRetryBackoff(t *testing.T) {
 	}
 }
 
+// shardWriterModes runs body on one shard under serveSigma — not
+// shardable, so it could only run there — and on two shards under
+// shardableServeSigma: the apply-fault seam is the same at any count.
+func shardWriterModes(t *testing.T, body func(t *testing.T, shards int, cs []detect.Constraint)) {
+	t.Run("shards=1", func(t *testing.T) { body(t, 1, serveSigma()) })
+	t.Run("shards=2", func(t *testing.T) { body(t, 2, shardableServeSigma()) })
+}
+
 // TestShardWriterPanicIsolation injects a panic into one shard's apply
 // mid-commit: the panic is recovered into a per-shard error, the
 // sequencer resynchronizes against whatever prefix applied, the
 // service stays healthy and live, and the published state remains
 // self-consistent (violations == a fresh detection over the published
-// shard snapshots).
+// shard snapshots). A one-shard service gets the same isolation.
 func TestShardWriterPanicIsolation(t *testing.T) {
-	cs := shardableServeSigma()
-	var panicked atomic.Bool
-	db := ordersDB(9, 120)
-	gendb := db.Clone()
-	svc := mustNew(t, Config{DB: db, Constraints: cs, Shards: 2})
-	svc.smonitor.SetShardHookForTest(func(shard int, ops []relation.ShardedOp) {
-		if panicked.CompareAndSwap(false, true) {
-			panic("injected shard fault")
-		}
-	})
-	r := rand.New(rand.NewSource(77))
-	fresh := 0
+	shardWriterModes(t, func(t *testing.T, shards int, cs []detect.Constraint) {
+		var panicked atomic.Bool
+		db := ordersDB(9, 120)
+		gendb := db.Clone()
+		svc := mustNew(t, Config{DB: db, Constraints: cs, Shards: shards})
+		svc.smonitor.SetShardHookForTest(func(shard int, ops []relation.ShardedOp) {
+			if panicked.CompareAndSwap(false, true) {
+				panic("injected shard fault")
+			}
+		})
+		r := rand.New(rand.NewSource(77))
+		fresh := 0
 
-	selfConsistent := func(when string) {
-		t.Helper()
-		st := svc.State()
-		merged, err := relation.GatherSnapshots(st.Shards)
-		if err != nil {
-			t.Fatalf("%s: gather: %v", when, err)
-		}
-		if got, want := ViolationsText(st.Violations()), detectText(merged, cs); got != want {
-			t.Fatalf("%s: published violations inconsistent with published snapshots:\n got: %q\nwant: %q",
-				when, got, want)
-		}
-	}
-
-	dead := map[string]map[relation.TID]bool{}
-	ops := []detect.DBOp{randomServeOp(r, gendb, &fresh, dead), randomServeOp(r, gendb, &fresh, dead)}
-	_, err := svc.Submit(context.Background(), ops)
-	if err == nil || !strings.Contains(err.Error(), "panic") {
-		t.Fatalf("panicked commit acked with err %v, want a shard panic error", err)
-	}
-	if got := svc.ShardPanics(); got != 1 {
-		t.Fatalf("ShardPanics %d, want 1", got)
-	}
-	if h, reason := svc.Health(); h != Healthy {
-		t.Fatalf("a recovered shard panic degraded the service: %v (%q)", h, reason)
-	}
-	selfConsistent("after panic")
-
-	// Still live: later commits apply cleanly.
-	for i := 0; i < 5; i++ {
-		dead := map[string]map[relation.TID]bool{}
-		ops := []detect.DBOp{randomServeOp(r, gendb, &fresh, dead)}
-		if res, err := svc.Submit(context.Background(), ops); err != nil {
-			// The generator tracks its own database, which the panicked
-			// partial apply may have diverged from — a validation rejection
-			// is fine, a health error is not.
-			var oe *OpError
-			if !errors.As(err, &oe) {
-				t.Fatalf("post-panic commit %d: %v (res %+v)", i, err, res)
+		selfConsistent := func(when string) {
+			t.Helper()
+			st := svc.State()
+			merged, err := relation.GatherSnapshots(st.Shards)
+			if err != nil {
+				t.Fatalf("%s: gather: %v", when, err)
+			}
+			if got, want := ViolationsText(st.Violations()), detectText(merged, cs); got != want {
+				t.Fatalf("%s: published violations inconsistent with published snapshots:\n got: %q\nwant: %q",
+					when, got, want)
 			}
 		}
-	}
-	selfConsistent("after recovery commits")
+
+		dead := map[string]map[relation.TID]bool{}
+		ops := []detect.DBOp{randomServeOp(r, gendb, &fresh, dead), randomServeOp(r, gendb, &fresh, dead)}
+		_, err := svc.Submit(context.Background(), ops)
+		if err == nil || !strings.Contains(err.Error(), "panic") {
+			t.Fatalf("panicked commit acked with err %v, want a shard panic error", err)
+		}
+		if got := svc.ShardPanics(); got != 1 {
+			t.Fatalf("ShardPanics %d, want 1", got)
+		}
+		if h, reason := svc.Health(); h != Healthy {
+			t.Fatalf("a recovered shard panic degraded the service: %v (%q)", h, reason)
+		}
+		selfConsistent("after panic")
+
+		// Still live: later commits apply cleanly.
+		for i := 0; i < 5; i++ {
+			dead := map[string]map[relation.TID]bool{}
+			ops := []detect.DBOp{randomServeOp(r, gendb, &fresh, dead)}
+			if res, err := svc.Submit(context.Background(), ops); err != nil {
+				// The generator tracks its own database, which the panicked
+				// partial apply may have diverged from — a validation
+				// rejection is fine, a health error is not.
+				var oe *OpError
+				if !errors.As(err, &oe) {
+					t.Fatalf("post-panic commit %d: %v (res %+v)", i, err, res)
+				}
+			}
+		}
+		selfConsistent("after recovery commits")
+	})
 }
 
 // TestShardWriterStall stalls one shard's apply with injected latency:
 // the scatter's join absorbs the skew and the result is byte-identical
 // to the fault-free shadow.
 func TestShardWriterStall(t *testing.T) {
-	cs := shardableServeSigma()
-	var stalls atomic.Int64
-	db := ordersDB(13, 120)
-	shadow := db.Clone()
-	svc := mustNew(t, Config{DB: db, Constraints: cs, Shards: 2})
-	svc.smonitor.SetShardHookForTest(func(shard int, ops []relation.ShardedOp) {
-		if shard == 0 && stalls.Add(1) <= 3 {
-			time.Sleep(2 * time.Millisecond)
+	shardWriterModes(t, func(t *testing.T, shards int, cs []detect.Constraint) {
+		var stalls atomic.Int64
+		db := ordersDB(13, 120)
+		shadow := db.Clone()
+		svc := mustNew(t, Config{DB: db, Constraints: cs, Shards: shards})
+		svc.smonitor.SetShardHookForTest(func(shard int, ops []relation.ShardedOp) {
+			if shard == 0 && stalls.Add(1) <= 3 {
+				time.Sleep(2 * time.Millisecond)
+			}
+		})
+		r := rand.New(rand.NewSource(31))
+		fresh := 0
+		d := driveFaulty(t, svc, shadow, r, &fresh, 10)
+		if len(d.rejected) != 0 {
+			t.Fatalf("stalls must not reject commits: %v", d.rejErrs)
+		}
+		if got, want := ViolationsText(svc.Violations()), detectText(shadow, cs); got != want {
+			t.Fatalf("stalled run diverges from shadow:\n got: %q\nwant: %q", got, want)
+		}
+		if stalls.Load() == 0 {
+			t.Fatal("the stall hook never ran")
 		}
 	})
-	r := rand.New(rand.NewSource(31))
-	fresh := 0
-	d := driveFaulty(t, svc, shadow, r, &fresh, 10)
-	if len(d.rejected) != 0 {
-		t.Fatalf("stalls must not reject commits: %v", d.rejErrs)
-	}
-	if got, want := ViolationsText(svc.Violations()), detectText(shadow, cs); got != want {
-		t.Fatalf("stalled run diverges from shadow:\n got: %q\nwant: %q", got, want)
-	}
 }
 
 // chaosFaultKinds builds one randomized fault schedule. Occurrence

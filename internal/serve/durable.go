@@ -265,13 +265,9 @@ func (s *Service) checkpointer(have bool, last uint64) {
 // writeCheckpoint persists one published State and drops the WAL
 // prefix it covers.
 func (s *Service) writeCheckpoint(st *State) error {
-	dbs := st.Snapshot
-	if st.Shards != nil {
-		db, err := relation.GatherSnapshots(st.Shards)
-		if err != nil {
-			return err
-		}
-		dbs = relation.NewDBSnapshot(db)
+	dbs, err := st.whole(context.Background())
+	if err != nil {
+		return err
 	}
 	info := relation.CheckpointInfo{Seq: st.Seq, NextTIDs: st.NextTIDs, ShardKeys: s.shardKeys}
 	start := time.Now()

@@ -262,9 +262,9 @@ type shardStatsJSON struct {
 
 // shardStatsFor assembles the per-shard section from an immutable
 // State: tuples from the published shard snapshots, violations from
-// the sequencer's tally.
+// the sequencer's tally. A one-shard service has no section.
 func shardStatsFor(st *State) []shardStatsJSON {
-	if st.Shards == nil {
+	if len(st.Shards) == 1 {
 		return nil
 	}
 	out := make([]shardStatsJSON, len(st.Shards))
@@ -285,18 +285,10 @@ func shardStatsFor(st *State) []shardStatsJSON {
 func (h *Handler) handleStats(w http.ResponseWriter, r *http.Request) {
 	st := h.Svc.State()
 	relations := make(map[string]int)
-	if st.Snapshot != nil {
-		for _, name := range st.Snapshot.Names() {
-			if snap, ok := st.Snapshot.Snapshot(name); ok {
-				relations[name] = snap.Len()
-			}
-		}
-	} else {
-		for _, ds := range st.Shards {
-			for _, name := range ds.Names() {
-				if snap, ok := ds.Snapshot(name); ok {
-					relations[name] += snap.Len()
-				}
+	for _, ds := range st.Shards {
+		for _, name := range ds.Names() {
+			if snap, ok := ds.Snapshot(name); ok {
+				relations[name] += snap.Len()
 			}
 		}
 	}

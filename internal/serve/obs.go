@@ -30,10 +30,10 @@ type ObsConfig struct {
 }
 
 // Pipeline stage labels of the dq_stage_seconds histogram, in commit
-// order. On the flat (unsharded) path the apply and diff are one
-// monitor call, timed under "detect"; "wal_sync" covers explicit sync
-// calls (group-commit flush), while a synced-inline append accounts its
-// fsync under "wal_append".
+// order. Every service, a one-shard one included, times its apply as
+// route, scatter and detect (the sync and diff); "wal_sync" covers
+// explicit sync calls (group-commit flush), while a synced-inline
+// append accounts its fsync under "wal_append".
 const (
 	stageQueueWait = "queue_wait"
 	stageValidate  = "validate"

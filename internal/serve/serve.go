@@ -1,28 +1,29 @@
 // Package serve turns the batch-oriented detection stack into a
 // long-lived, goroutine-safe violation-monitoring service: one
-// detect.DBMonitor owned by a single-writer ingest loop, fed through a
-// bounded queue that coalesces submitted mutation batches into commit
-// batches (amortizing snapshot catch-up), with every read — the full
-// violation list, per-constraint and per-relation counts, satisfaction
-// probes — served off an immutable published State without ever
-// blocking the writer, and gained/cleared deltas fanned out to
-// subscribers over buffered channels under a slow-consumer drop policy.
+// detect.ShardedDBMonitor (one shard unless Config.Shards asks for
+// more) owned by a single-writer ingest loop, fed through a bounded
+// queue that coalesces submitted mutation batches into commit batches
+// (amortizing snapshot catch-up), with every read — the full violation
+// list, per-constraint and per-relation counts, satisfaction probes —
+// served off an immutable published State without ever blocking the
+// writer, and gained/cleared deltas fanned out to subscribers over
+// buffered channels under a slow-consumer drop policy.
 //
-// The concurrency design in one paragraph: the DBMonitor (and the
+// The concurrency design in one paragraph: the monitor (and the
 // relation.Instances under it) is single-writer, so exactly one
-// goroutine — the ingest loop — ever calls Apply or touches the
+// goroutine — the ingest loop — ever applies a commit or touches the
 // database. After every commit the loop publishes a fresh *State
-// through an atomic pointer: the post-commit DBSnapshot (immutable by
-// construction: COW tuple arrays, append-only dictionaries) plus the
-// full violation set in canonical order as a sequence of small sorted
-// leaves (violseq.go): a commit copies only the leaves its sorted
-// gained/cleared diff touches, and each leaf memoises its wire
-// encodings on first read, so both publish and GET /violations cost
-// what changed, not |V|. Readers load the pointer and work on a
-// consistent frozen view while the writer races ahead; subscribers get
-// the same deltas the commit applied, or — if they fall behind their
-// channel buffer — a closed channel with Lost() set, the signal to
-// resync from Violations().
+// through an atomic pointer: the post-commit per-shard DBSnapshots
+// (immutable by construction: COW tuple arrays, append-only
+// dictionaries) plus the full violation set in canonical order as a
+// sequence of small sorted leaves (violseq.go): a commit copies only
+// the leaves its sorted gained/cleared diff touches, and each leaf
+// memoises its wire encodings on first read, so both publish and GET
+// /violations cost what changed, not |V|. Readers load the pointer and
+// work on a consistent frozen view while the writer races ahead;
+// subscribers get the same deltas the commit applied, or — if they
+// fall behind their channel buffer — a closed channel with Lost() set,
+// the signal to resync from Violations().
 package serve
 
 import (
@@ -75,17 +76,19 @@ type Config struct {
 	// DefaultSubBuf). A subscriber that falls this many commits behind
 	// is dropped and must resync.
 	SubBuf int
-	// Shards > 1 runs the service sharded: DB is hash-partitioned into
-	// that many shards at New, each commit is routed once by the
-	// sequencer and its sub-batches applied concurrently across shards
-	// (detect.ShardedDBMonitor.ApplyRouting), and one merged State is
-	// published per commit — byte-identical to the single-partition
-	// service. 0 or 1 keeps the single-partition path.
+	// Shards is the partition count. Every service runs one
+	// detect.ShardedDBMonitor: each commit is routed once by the
+	// sequencer, its sub-batches applied across shards
+	// (ShardedDBMonitor.ApplyRouting), and one merged State published —
+	// byte-identical whatever the count. 0 or 1 means one shard: the
+	// monitor adopts DB as shard 0 without copying it, and any
+	// CFD/CIND/eCFD batch is accepted. Above 1, DB is hash-partitioned
+	// at New and the batch must be shardable (detect.CheckShardable).
 	Shards int
 	// ShardKeys sets the partition key (attribute positions) per
-	// relation when Shards > 1. Nil derives keys from the constraint
-	// batch (detect.DeriveShardKeys); New fails when no key keeps every
-	// CFD/eCFD shard-local.
+	// relation when Shards > 1; it is ignored at one shard. Nil derives
+	// keys from the constraint batch (detect.DeriveShardKeys); New fails
+	// when no key keeps every CFD/eCFD shard-local.
 	ShardKeys map[string][]int
 	// SubmitTimeout bounds how long Submit waits for queue space before
 	// shedding the load with ErrBusy (front ends turn it into 503 +
@@ -112,22 +115,19 @@ type Config struct {
 
 // State is one published, immutable view of the service: everything a
 // read endpoint needs, consistent as of commit Seq. Readers must treat
-// the Snapshot as read-only; the writer never mutates a published
-// State.
+// the shard snapshots as read-only; the writer never mutates a
+// published State.
 type State struct {
 	// Seq counts commits: 0 is the seeded initial detection, each
 	// applied commit batch increments it.
 	Seq uint64
-	// Snapshot is the post-commit freeze of the whole database. Nil on
-	// a sharded service, which publishes Shards instead.
-	Snapshot *relation.DBSnapshot
-	// Shards holds the per-shard post-commit freezes when the service
-	// runs sharded; nil in single-partition mode. Cross-partition
-	// readers merge them with relation.GatherSnapshots.
+	// Shards holds the per-shard post-commit freezes, one per shard —
+	// on a one-shard service Shards[0] is the whole database.
+	// Cross-partition readers merge several with
+	// relation.GatherSnapshots.
 	Shards []*relation.DBSnapshot
 	// ShardViolations counts the published violations per shard (by the
-	// shard holding each violation's primary tuple at Seq); nil in
-	// single-partition mode.
+	// shard holding each violation's primary tuple at Seq).
 	ShardViolations []int
 	// viols is the full violation set in canonical mixed order —
 	// byte-identical to Engine.DetectBatch of the database at Seq.
@@ -202,7 +202,6 @@ type pendingCommit struct {
 // Service is the running monitor; construct with New, stop with Stop.
 type Service struct {
 	engine  *detect.Engine
-	monitor *detect.DBMonitor // single-partition mode; nil when sharded
 	cs      []detect.Constraint
 	sigma   map[any]int
 	rules   *ruleSet // report texts and wire heads per rule, fixed at New
@@ -210,12 +209,12 @@ type Service struct {
 	maxOps  int
 	subBuf  int
 
-	// Sharded mode (Config.Shards > 1): the sequencer (the run loop)
-	// routes each commit, the monitor applies the sub-batches
-	// concurrently across shards, and the sequencer syncs and publishes
-	// one merged State.
-	smonitor  *detect.ShardedDBMonitor
-	shardedDB *relation.ShardedDB
+	// The sequencer (the run loop) routes each commit, the monitor
+	// applies the sub-batches across shards, and the sequencer syncs and
+	// publishes one merged State. sdb is the live database, owned by the
+	// sequencer.
+	smonitor *detect.ShardedDBMonitor
+	sdb      *relation.ShardedDB
 
 	queue chan request
 	state atomic.Pointer[State]
@@ -225,8 +224,7 @@ type Service struct {
 	// sit in the group-commit window — and pending holds those
 	// committed-but-unsynced batches. Non-durable services keep tip ==
 	// published (every commit flushes immediately).
-	db            *relation.Database // flat-mode live database (sequencer-owned)
-	shardKeys     map[string][]int   // resolved partition keys (sharded mode)
+	shardKeys     map[string][]int // resolved partition keys (Shards > 1)
 	wal           *wal.Log
 	dataDir       string
 	fsys          fault.FS // checkpoint/WAL filesystem (fault.OS in production)
@@ -330,7 +328,6 @@ func New(cfg Config) (*Service, error) {
 			return nil, err
 		}
 	}
-	s.db = db
 	fail := func(err error) (*Service, error) {
 		if s.wal != nil {
 			s.wal.Close()
@@ -338,7 +335,8 @@ func New(cfg Config) (*Service, error) {
 		return nil, err
 	}
 
-	if cfg.Shards > 1 {
+	p := relation.NewPartitioner(cfg.Shards)
+	if p.Shards() > 1 {
 		keys := cfg.ShardKeys
 		if keys == nil {
 			derived, err := detect.DeriveShardKeys(cfg.Constraints)
@@ -348,26 +346,21 @@ func New(cfg Config) (*Service, error) {
 			keys = derived
 		}
 		s.shardKeys = keys
-		p := relation.NewPartitioner(cfg.Shards)
 		for rel, pos := range keys {
 			p.SetKey(rel, pos)
 		}
-		sdb, err := relation.Partition(db, p)
-		if err != nil {
-			return fail(fmt.Errorf("serve: %v", err))
-		}
-		m, err := detect.NewShardedDBMonitor(cfg.Engine, sdb, cfg.Constraints)
-		if err != nil {
-			return fail(fmt.Errorf("serve: %v", err))
-		}
-		s.engine = m.Engine()
-		s.smonitor = m
-		s.shardedDB = sdb
-	} else {
-		m := detect.NewDBMonitor(cfg.Engine, db, cfg.Constraints)
-		s.engine = m.Engine()
-		s.monitor = m
 	}
+	sdb, err := relation.Partition(db, p)
+	if err != nil {
+		return fail(fmt.Errorf("serve: %v", err))
+	}
+	m, err := detect.NewShardedDBMonitor(cfg.Engine, sdb, cfg.Constraints)
+	if err != nil {
+		return fail(fmt.Errorf("serve: %v", err))
+	}
+	s.engine = m.Engine()
+	s.smonitor = m
+	s.sdb = sdb
 
 	// Recovery phase two: replay the WAL tail through the seeded
 	// monitor, then capture the post-replay state as the seed.
@@ -377,12 +370,7 @@ func New(cfg Config) (*Service, error) {
 			return fail(err)
 		}
 	}
-	var vs []detect.Violation
-	if s.smonitor != nil {
-		vs = s.smonitor.Violations()
-	} else {
-		vs = s.monitor.Violations()
-	}
+	vs := s.smonitor.Violations()
 	s.capture(seed)
 	seed.viols = newViolSeq(vs)
 	seed.ruleCounts = make([]int, len(s.rules.infos))
@@ -417,18 +405,12 @@ func New(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// ShardPanics reports how many shard-apply panics the sharded monitor
-// has recovered into per-shard errors since New (racy, informational);
-// 0 on a single-partition service.
-func (s *Service) ShardPanics() uint64 {
-	if s.smonitor == nil {
-		return 0
-	}
-	return s.smonitor.Panics()
-}
+// ShardPanics reports how many shard-apply panics the monitor has
+// recovered into per-shard errors since New (racy, informational).
+func (s *Service) ShardPanics() uint64 { return s.smonitor.Panics() }
 
 // run is the single-writer ingest loop: the only goroutine that ever
-// calls monitor.Apply or mutates the database.
+// applies a commit or mutates the database.
 func (s *Service) run() {
 	defer func() {
 		if r := recover(); r != nil {
@@ -496,7 +478,7 @@ func (s *Service) coalesce(first request) {
 }
 
 // commit applies one coalesced batch against the writer-local tip — the
-// one commit path, flat or sharded, with or without a WAL: validate,
+// one commit path, at any shard count, with or without a WAL: validate,
 // log, apply, enqueue, flush. Each request is validated upfront against
 // the tip plus the accepted requests before it: an invalid request is
 // acknowledged with its *OpError at the unchanged tip sequence —
@@ -705,21 +687,14 @@ func (s *Service) flushPending(syncErr error) {
 
 // apply applies one validated (and, with a WAL, already logged) batch
 // and returns its violation diff — the one apply step commit and WAL
-// replay share. Flat, it is DBMonitor.Apply. Sharded, it is the
-// Route → ApplyRouting → Sync sequence ShardedDBMonitor.Apply bundles,
-// each step timed as its own stage; ApplyRouting isolates a failing or
-// panicking shard into an error and rebuilds the tuple directory, and
-// Sync also maintains the per-shard violation counts. Error semantics are
-// DBMonitor.Apply's either way: the prefix before a failing op is
-// applied and the error returned with the diff, so replaying a logged
-// batch reproduces its TIDs, prefix and error.
+// replay share. It is the Route → ApplyRouting → Sync sequence
+// ShardedDBMonitor.Apply bundles, each step timed as its own stage;
+// ApplyRouting isolates a failing or panicking shard into an error and
+// rebuilds the tuple directory, and Sync also maintains the per-shard
+// violation counts. The prefix before a failing op is applied and the
+// error returned with the diff, so replaying a logged batch reproduces
+// its TIDs, prefix and error.
 func (s *Service) apply(ops []detect.DBOp) (gained, cleared []detect.Violation, err error) {
-	if s.smonitor == nil {
-		dt := s.met.now()
-		gained, cleared, err = s.monitor.Apply(ops)
-		s.met.observeStage(stageDetect, dt)
-		return gained, cleared, err
-	}
 	rt := s.met.now()
 	r, err := s.smonitor.Route(ops)
 	s.met.observeStage(stageRoute, rt)
@@ -744,24 +719,15 @@ func (s *Service) apply(ops []detect.DBOp) (gained, cleared []detect.Violation, 
 // next TID, which a checkpoint of st must preserve so post-recovery
 // inserts allocate the TIDs the uninterrupted run would have.
 func (s *Service) capture(st *State) {
-	if s.smonitor != nil {
-		st.Shards = s.smonitor.ShardSnapshots()
-		st.ShardViolations = s.smonitor.ShardCounts()
-		st.FullSyncs = s.smonitor.FullSyncs()
-	} else {
-		st.Snapshot = s.monitor.Snapshot()
-		st.FullSyncs = s.monitor.FullSyncs()
-	}
+	st.Shards = s.smonitor.ShardSnapshots()
+	st.ShardViolations = s.smonitor.ShardCounts()
+	st.FullSyncs = s.smonitor.FullSyncs()
 	if s.wal == nil {
 		return
 	}
 	st.NextTIDs = make(map[string]relation.TID, len(s.schemas))
 	for name := range s.schemas {
-		if s.shardedDB != nil {
-			st.NextTIDs[name] = s.shardedDB.NextTID(name)
-		} else {
-			st.NextTIDs[name] = s.db.MustInstance(name).NextTID()
-		}
+		st.NextTIDs[name] = s.sdb.NextTID(name)
 	}
 }
 
@@ -859,33 +825,37 @@ func (s *Service) Check(cs []detect.Constraint) (uint64, bool, error) {
 	return s.CheckContext(context.Background(), cs)
 }
 
-// CheckContext is Check under a deadline: on a sharded service the
-// probe first gathers every shard snapshot — O(total rows) — so
-// request-scoped callers pass their context and a cancelled request
+// CheckContext is Check under a deadline: on a service with several
+// shards the probe first gathers every shard snapshot — O(total rows) —
+// so request-scoped callers pass their context and a cancelled request
 // stops the merge early instead of finishing work nobody will read.
 func (s *Service) CheckContext(ctx context.Context, cs []detect.Constraint) (uint64, bool, error) {
 	st := s.state.Load()
-	if st.Shards != nil {
-		// Cross-partition read: merge the per-shard freezes into one
-		// detached database and probe that — the caller's rules need not
-		// be shardable.
-		db, err := relation.GatherSnapshotsCtx(ctx, st.Shards)
-		if err != nil {
-			return st.Seq, false, err
-		}
-		return st.Seq, s.engine.SatisfiesBatch(db, cs), nil
+	dbs, err := st.whole(ctx)
+	if err != nil {
+		return st.Seq, false, err
 	}
-	return st.Seq, s.engine.SatisfiesBatchOn(st.Snapshot, cs), nil
+	return st.Seq, s.engine.SatisfiesBatchOn(dbs, cs), nil
 }
 
-// Shards returns the shard count the service runs with (1 when
-// single-partition).
-func (s *Service) Shards() int {
-	if s.shardedDB == nil {
-		return 1
+// whole returns the database at st.Seq as one snapshot — what
+// cross-partition readers (the /check probe, a checkpoint) work on, so
+// the caller's rules need not be shardable. One shard is returned as
+// is; several are merged into one detached database, O(total rows)
+// and stopped early when ctx is cancelled.
+func (st *State) whole(ctx context.Context) (*relation.DBSnapshot, error) {
+	if len(st.Shards) == 1 {
+		return st.Shards[0], nil
 	}
-	return s.shardedDB.Shards()
+	db, err := relation.GatherSnapshotsCtx(ctx, st.Shards)
+	if err != nil {
+		return nil, err
+	}
+	return relation.NewDBSnapshot(db), nil
 }
+
+// Shards returns the shard count the service runs with.
+func (s *Service) Shards() int { return s.sdb.Shards() }
 
 // Constraints returns the monitored batch Σ (read-only).
 func (s *Service) Constraints() []detect.Constraint { return s.cs }

@@ -113,8 +113,8 @@ func TestServiceShardedOracle(t *testing.T) {
 				}
 
 				st := svc.State()
-				if st.Snapshot != nil || len(st.Shards) != shards {
-					t.Fatalf("round %d: sharded State should publish %d shard snapshots and no merged one", round, shards)
+				if len(st.Shards) != shards {
+					t.Fatalf("round %d: sharded State should publish %d shard snapshots", round, shards)
 				}
 				if recount := shardRecount(st.Shards, want); !reflect.DeepEqual(st.ShardViolations, recount) {
 					t.Fatalf("round %d: ShardViolations %v, recount by primary tuple %v", round, st.ShardViolations, recount)

@@ -70,12 +70,7 @@ func (v *validator) accepted(name string) (*relDelta, bool) {
 	if _, ok := v.s.schemas[name]; !ok {
 		return nil, false
 	}
-	d := &relDelta{deleted: make(map[relation.TID]bool)}
-	if v.s.shardedDB != nil {
-		d.nextTID = v.s.shardedDB.NextTID(name)
-	} else {
-		d.nextTID = v.s.db.MustInstance(name).NextTID()
-	}
+	d := &relDelta{nextTID: v.s.sdb.NextTID(name), deleted: make(map[relation.TID]bool)}
 	v.rels[name] = d
 	return d, true
 }
@@ -89,11 +84,7 @@ func (v *validator) exists(name string, d *relDelta, id relation.TID) bool {
 	if id >= d.nextTID {
 		return id < d.nextTID+d.inserts
 	}
-	if v.s.shardedDB != nil {
-		_, ok := v.s.shardedDB.ShardOfTID(name, id)
-		return ok
-	}
-	_, ok := v.s.db.MustInstance(name).Tuple(id)
+	_, ok := v.s.sdb.ShardOfTID(name, id)
 	return ok
 }
 
