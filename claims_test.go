@@ -157,7 +157,7 @@ var paperClaims = []paperClaim{
 	},
 	{
 		id:    "E23",
-		title: "Incremental monitoring: DBMonitor.Apply vs invalidate-and-rebuild",
+		title: "Incremental monitoring: monitor Apply vs invalidate-and-rebuild",
 		claim: "update batches cost the touched groups, not a full re-freeze; diffs stay exact",
 		check: func(short bool) (string, bool) {
 			n := 20000
@@ -454,9 +454,9 @@ func sameViolations[A, B any](a []A, b []B) bool {
 
 // monitorIncrProbe measures the steady-state monitoring cost: `batches`
 // batches of `batchSize` street updates against an n-tuple dirty
-// customer instance under 8 CFDs, once through a stateful
-// detect.DBMonitor over the one-relation database (incremental
-// snapshot/index maintenance) and once through the
+// customer instance under 8 CFDs, once through the stateful one-shard
+// monitor (detect.NewDBMonitor) over the one-relation database
+// (incremental snapshot/index maintenance) and once through the
 // invalidate-and-rebuild discipline (fresh snapshot + fresh group
 // indexes + the touched CFD kernel per batch). Exactness compares the
 // monitor's maintained violation set against the string-keyed
@@ -488,7 +488,7 @@ func monitorIncrProbe(n, batches, batchSize int) (monitor, rebuild time.Duration
 		return ops
 	}
 
-	// DBMonitor path.
+	// Monitor path.
 	inM := gen.Customers(gen.CustomerConfig{N: n, Seed: 17, ErrorRate: 0.05})
 	sigma := mkSigma(inM.Schema())
 	db := relation.NewDatabase()

@@ -158,13 +158,8 @@ func (w cindConstraint) Satisfied(ctx *Ctx) bool {
 	return cind.SatisfiesWithSnapshot(src, dst, w.c, srcIx, dstIx)
 }
 
-// Touched covers both sides of the inclusion; see cindTouched.
-func (w cindConstraint) Touched(tc *TouchCtx) []relation.TID {
-	dst := w.c.Dst().Name()
-	return cindTouched(w.c, tc, targetYChanges(w.c, tc.Delta(dst), tc.Old(dst), tc.New(dst), nil))
-}
-
-// cindTouched assembles the CIND touched list, flat and per shard:
+// Touched assembles the CIND touched list on one shard (a flat
+// database is the one-shard case):
 //
 //   - source side: inserted and deleted source TIDs, plus source TIDs
 //     updated on X ∪ Xp — any of these can change which pattern rows
@@ -173,16 +168,16 @@ func (w cindConstraint) Touched(tc *TouchCtx) []relation.TID {
 //     Y ∪ Yp projection can flip the verdict of exactly the source
 //     tuples whose X values equal its Y values, on either side of the
 //     batch — those are found by probing the pre-batch source index on
-//     X with the changed Y projections (yChanges, see targetYChanges;
-//     a sharded monitor broadcasts every shard's changes to every
-//     shard). Probing the old index suffices: a source tuple that
-//     itself moved is already in the list via the source side. Yp-only
-//     changes ride the same probes, since Y is then unchanged.
-func cindTouched(c *cind.CIND, tc *TouchCtx, yChanges [][]relation.Value) []relation.TID {
-	srcRel := c.Src().Name()
+//     X with the changed Y projections the monitor broadcasts from
+//     every shard (TouchCtx.yChanges, see targetYChanges). Probing the
+//     old index suffices: a source tuple that itself moved is already
+//     in the list via the source side. Yp-only changes ride the same
+//     probes, since Y is then unchanged.
+func (w cindConstraint) Touched(tc *TouchCtx) []relation.TID {
+	srcRel := w.c.Src().Name()
 	set := make(map[relation.TID]struct{})
 	if d := tc.Delta(srcRel); d != nil {
-		srcPos := c.SourceGroupPos()
+		srcPos := w.c.SourceGroupPos()
 		for _, id := range d.Inserted {
 			set[id] = struct{}{}
 		}
@@ -195,9 +190,9 @@ func cindTouched(c *cind.CIND, tc *TouchCtx, yChanges [][]relation.Value) []rela
 			}
 		}
 	}
-	if oldSrc := tc.Old(srcRel); oldSrc != nil && len(yChanges) > 0 {
-		srcX := oldSrc.CodeIndexOn(c.X())
-		for _, vals := range yChanges {
+	if oldSrc := tc.Old(srcRel); oldSrc != nil && len(tc.yChanges[w.c]) > 0 {
+		srcX := oldSrc.CodeIndexOn(w.c.X())
+		for _, vals := range tc.yChanges[w.c] {
 			for _, sid := range srcX.LookupValues(vals) {
 				set[sid] = struct{}{}
 			}

@@ -239,7 +239,7 @@ func (e *Engine) DetectBatch(db *relation.Database, cs []Constraint) []Violation
 }
 
 // DetectBatchOn is DetectBatch evaluated on a caller-supplied database
-// snapshot (the maintained snapshot of a DBMonitor, or any freeze the
+// snapshot (a monitor's maintained shard snapshot, or any freeze the
 // caller holds fixed across calls, current or not).
 func (e *Engine) DetectBatchOn(dbs *relation.DBSnapshot, cs []Constraint) []Violation {
 	var out []Violation
@@ -265,23 +265,6 @@ func (e *Engine) DetectBatchStreamOn(dbs *relation.DBSnapshot, cs []Constraint, 
 			sink(v)
 		}
 	})
-}
-
-// DetectBatchTouchedOn is the incremental batch entry point: violations
-// of each constraint witnessed by that constraint's touched TID list
-// (indexed like cs), merged canonically. The DBMonitor diffs it between
-// the pre- and post-batch snapshots.
-func (e *Engine) DetectBatchTouchedOn(dbs *relation.DBSnapshot, cs []Constraint, touched [][]relation.TID) []Violation {
-	ctx := e.planBatch(dbs, cs)
-	var out []Violation
-	runOrdered(e.workers(), len(cs), func(i int) []Violation {
-		if len(touched[i]) == 0 {
-			return nil
-		}
-		return cs[i].EvalTouched(ctx, touched[i])
-	}, func(vs []Violation) { out = append(out, vs...) })
-	SortViolations(out, SigmaOf(cs))
-	return out
 }
 
 // SatisfiesBatch reports whether the database satisfies every

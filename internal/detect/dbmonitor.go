@@ -1,48 +1,11 @@
 package detect
 
 import (
-	"fmt"
-
+	"repro/internal/cind"
 	"repro/internal/relation"
 )
 
-// DBMonitor is the stateful face of incremental detection over one
-// database: it owns an engine, the live DBSnapshot of the database, and
-// the current violation set of a mixed constraint batch (CFDs, CINDs,
-// eCFDs), and keeps all of them consistent under a stream of update
-// batches that may touch several relations at once. Where
-// Engine.DetectBatch answers "what is wrong now" in full, a
-// DBMonitor answers "what just broke and what just got fixed":
-//
-//	gained, cleared, err := m.Apply(batch)
-//
-// routes each relation's ops through its instance changelog, catches
-// the per-relation snapshots up via relation.SnapshotOf (structural
-// sharing, O(|Δ|) dictionary work, spliced group indexes), asks every
-// constraint for the primary-relation TIDs its violations could have
-// changed on (Constraint.Touched — for a CIND that covers updates on
-// both the source and the target side of the inclusion), evaluates
-// those TIDs against both the pre- and the post-batch snapshots, and
-// diffs the results against the stored set — the one-shard case of the
-// core ShardedDBMonitor shares (see monitorCore).
-//
-// The maintained invariant, asserted by randomized tests: after every
-// Apply, Violations() is exactly Engine.DetectBatch of the mutated
-// database.
-//
-// A DBMonitor is single-writer, like the instances it watches: Apply
-// (and Sync) must not run concurrently with each other or with other
-// mutations of the database. Mutations made between calls outside the
-// monitor are fine — the next Sync picks them up from the changelogs.
-// The relation set is fixed at construction: adding or replacing
-// instances afterwards forces a full resync.
-type DBMonitor struct {
-	monitorCore
-	db  *relation.Database
-	dbs *relation.DBSnapshot
-}
-
-// DBOp is one mutation of a DBMonitor batch: an Op aimed at a named
+// DBOp is one mutation of a monitor batch: an Op aimed at a named
 // relation.
 type DBOp struct {
 	Rel string
@@ -60,96 +23,18 @@ func UpdateIn(rel string, id relation.TID, pos int, v relation.Value) DBOp {
 	return DBOp{Rel: rel, Op: Update(id, pos, v)}
 }
 
-// NewDBMonitor builds a monitor over the database and mixed constraint
-// batch, paying one full detection to seed the violation set (and,
-// through it, the DBSnapshot and every shared group index the steady
-// state will reuse). A nil engine gets the default configuration.
-func NewDBMonitor(e *Engine, db *relation.Database, cs []Constraint) *DBMonitor {
-	m := &DBMonitor{monitorCore: newMonitorCore(e, cs), db: db, dbs: relation.DBSnapshotOf(db)}
-	m.seed([][]Violation{m.engine.DetectBatchOn(m.dbs, cs)})
-	return m
-}
-
-// Apply applies the batch to the database and returns the violations it
-// gained (newly broken) and cleared (newly fixed), each in the
-// canonical mixed order. Ops are applied in sequence; on the first
-// failing op the remaining ops are skipped, the monitor resynchronizes
-// with whatever prefix was applied, and the error is returned alongside
-// the diff.
+// NewDBMonitor builds the incremental monitor over one database: the
+// one-shard ShardedDBMonitor, with db adopted as its shard 0
+// (relation.Adopt — no tuple is copied), paying one full detection to
+// seed the violation set. One shard holds every group and every CIND
+// target, so any constraint batch is accepted and construction cannot
+// fail. A nil engine gets the default configuration.
 //
-// Apply is single-writer: it must not run concurrently with another
-// Apply or Sync, with Violations/Len/Snapshot on the same monitor, or
-// with any other mutation of the watched database — the monitor
-// inherits the instances' own single-writer rule and additionally
-// mutates its stored violation set. Concurrent READERS are safe only
-// against values the writer has already handed off: the *DBSnapshot a
-// previous Apply/Sync returned via Snapshot() stays immutable and
-// readable (COW tuple arrays, append-only dictionaries) while the next
-// Apply derives its successor — the hand-off internal/serve's
-// single-writer ingest loop makes to its concurrent read endpoints with
-// the per-shard snapshots of a ShardedDBMonitor.
-func (m *DBMonitor) Apply(batch []DBOp) (gained, cleared []Violation, err error) {
-	for _, op := range batch {
-		in, ok := m.db.Instance(op.Rel)
-		if !ok {
-			err = fmt.Errorf("dbmonitor: no relation %q", op.Rel)
-			break
-		}
-		switch op.Op.Kind {
-		case OpInsert:
-			if _, e := in.Insert(op.Op.Tuple); e != nil {
-				err = fmt.Errorf("dbmonitor: %v", e)
-			}
-		case OpDelete:
-			in.Delete(op.Op.TID)
-		case OpUpdate:
-			if e := in.Update(op.Op.TID, op.Op.Pos, op.Op.Val); e != nil {
-				err = fmt.Errorf("dbmonitor: %v", e)
-			}
-		}
-		if err != nil {
-			break
-		}
-	}
-	gained, cleared = m.Sync()
-	return gained, cleared, err
+// Mutations made directly on db's instances between calls are picked
+// up by the next Sync from the changelogs, as on any shard.
+func NewDBMonitor(e *Engine, db *relation.Database, cs []Constraint) *ShardedDBMonitor {
+	return newShardedDBMonitor(e, relation.Adopt(db), cs)
 }
-
-// Sync brings the monitor up to date with mutations made directly on
-// the database (outside Apply) and returns the violation diff, like
-// Apply without the mutation step.
-//
-// Sync shares Apply's single-writer contract: one goroutine at a time,
-// never concurrent with Apply or with database mutations; concurrent
-// readers must hold a previously returned Snapshot rather than calling
-// into the monitor (see Apply).
-func (m *DBMonitor) Sync() (gained, cleared []Violation) {
-	old := m.dbs
-	deltas, resync := m.scan(m.db, old)
-	if resync {
-		m.dbs = relation.DBSnapshotOf(m.db)
-		return m.resync([][]Violation{m.engine.DetectBatchOn(m.dbs, m.cs)})
-	}
-	if deltas == nil {
-		return nil, nil
-	}
-	m.dbs = relation.DBSnapshotOf(m.db) // per-relation delta catch-up
-	tc := &TouchCtx{db: m.db, old: old, new: m.dbs, deltas: deltas}
-	touched := make([][]relation.TID, len(m.cs))
-	for i, c := range m.cs {
-		touched[i] = c.Touched(tc)
-	}
-	return m.diff(
-		[][]Violation{m.engine.DetectBatchTouchedOn(old, m.cs, touched)},
-		[][]Violation{m.engine.DetectBatchTouchedOn(m.dbs, m.cs, touched)})
-}
-
-// Snapshot returns the maintained database snapshot (current as of the
-// last Apply/Sync).
-func (m *DBMonitor) Snapshot() *relation.DBSnapshot { return m.dbs }
-
-// Database returns the watched database.
-func (m *DBMonitor) Database() *relation.Database { return m.db }
 
 // TouchCtx is the view Constraint.Touched reasons over: the pre- and
 // post-batch snapshots of every relation, the net delta each relation's
@@ -163,13 +48,18 @@ type TouchCtx struct {
 	deltas map[string]*relation.Delta
 	co     map[string][]relation.TID
 
-	// coverInserts widens CoMembers to inserted TIDs. A single partition
-	// (DBMonitor, or a one-shard ShardedDBMonitor) never needs it —
-	// fresh TIDs sort after every group member, so an insert cannot
-	// change a group's representative — but with several shards a
-	// delta's inserts include cross-shard moves carrying old TIDs, which
-	// can steal representativeship of the group they join; the joined
-	// group then needs an old-side co-member too.
+	// yChanges holds, per CIND, the Y projections of every target tuple
+	// the batch moved in or out of the CIND's Y ∪ Yp projection on ANY
+	// shard — the broadcast every shard's source side is probed with
+	// (see cindConstraint.Touched).
+	yChanges map[*cind.CIND][][]relation.Value
+
+	// coverInserts widens CoMembers to inserted TIDs. One shard never
+	// needs it — fresh TIDs sort after every group member, so an insert
+	// cannot change a group's representative — but with several shards
+	// a delta's inserts include cross-shard moves carrying old TIDs,
+	// which can steal representativeship of the group they join; the
+	// joined group then needs an old-side co-member too.
 	coverInserts bool
 }
 

@@ -190,7 +190,7 @@ func randomCustomerOp(r *rand.Rand, db *relation.Database, fresh *int, dead map[
 	}
 }
 
-// monitorInput is one input of the DBMonitor oracle: a database, its
+// monitorInput is one input of the monitor oracle: a database, its
 // constraint batch, a random-op source over it, and the string-keyed
 // per-class legacy detectors (independent of snapshots, dictionaries
 // and changelogs) the maintained set must also match.
@@ -271,7 +271,55 @@ func checkDiff(t *testing.T, step string, prev, gained, cleared, got []Violation
 	}
 }
 
-// dbMonitorOracleRounds drives random batches through DBMonitor.Apply
+// applyFlat applies a monitor batch straight to the database with
+// Instance.Insert/Delete/Update, op by op, stopping at the first
+// failing op — the routing-free reference for the error text and the
+// applied prefix a monitor's Apply must reproduce.
+func applyFlat(db *relation.Database, batch []DBOp) error {
+	for _, op := range batch {
+		in, ok := db.Instance(op.Rel)
+		if !ok {
+			return fmt.Errorf("dbmonitor: no relation %q", op.Rel)
+		}
+		var err error
+		switch op.Op.Kind {
+		case OpInsert:
+			_, err = in.Insert(op.Op.Tuple)
+		case OpDelete:
+			in.Delete(op.Op.TID)
+		case OpUpdate:
+			err = in.Update(op.Op.TID, op.Op.Pos, op.Op.Val)
+		}
+		if err != nil {
+			return fmt.Errorf("dbmonitor: %v", err)
+		}
+	}
+	return nil
+}
+
+// sameTuples asserts that got holds exactly want's relations, TIDs and
+// tuples.
+func sameTuples(t *testing.T, want, got *relation.Database) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Names(), want.Names()) {
+		t.Fatalf("relations %v, want %v", got.Names(), want.Names())
+	}
+	for _, name := range want.Names() {
+		w, g := want.MustInstance(name), got.MustInstance(name)
+		if !reflect.DeepEqual(g.IDs(), w.IDs()) {
+			t.Fatalf("%s: TIDs %v, want %v", name, g.IDs(), w.IDs())
+		}
+		for _, id := range w.IDs() {
+			wt, _ := w.Tuple(id)
+			gt, _ := g.Tuple(id)
+			if !reflect.DeepEqual(gt, wt) {
+				t.Fatalf("%s: tuple %d = %v, want %v", name, id, gt, wt)
+			}
+		}
+	}
+}
+
+// dbMonitorOracleRounds drives random batches through the monitor's Apply
 // and asserts, after every batch, that the maintained violation set is
 // byte-identical to a fresh DetectBatch — and to the per-class legacy
 // detectors — and that gained/cleared exactly account for the change.
@@ -603,6 +651,18 @@ func TestMonitorExternalMutations(t *testing.T) {
 	}
 	if m.FullSyncs() != 0 {
 		t.Fatalf("external mutations within the changelog forced %d full resyncs", m.FullSyncs())
+	}
+	// The direct inserts advanced the instance's TID counter; a routed
+	// insert must allocate past them.
+	op := randomCustomerOp(r, db, &fresh, map[string]map[relation.TID]bool{})
+	for op.Op.Kind != OpInsert {
+		op = randomCustomerOp(r, db, &fresh, map[string]map[relation.TID]bool{})
+	}
+	if _, _, err := m.Apply([]DBOp{op}); err != nil {
+		t.Fatalf("insert after external inserts: %v", err)
+	}
+	if got, want := m.Violations(), New(1).DetectBatch(db, cs); !reflect.DeepEqual(got, want) {
+		t.Fatal("monitor diverges after an insert following external inserts")
 	}
 }
 

@@ -35,9 +35,10 @@
 //
 // SatisfiesBatch additionally cancels early: the first violation found
 // by any worker stops the remaining work, including index builds that
-// have not started yet. The stateful DBMonitor and ShardedDBMonitor
-// maintain a mixed violation set incrementally across multi-relation
-// update batches, including the target side of CIND inclusions.
+// have not started yet. The stateful ShardedDBMonitor maintains a mixed
+// violation set incrementally across multi-relation update batches,
+// including the target side of CIND inclusions; over a flat database it
+// runs with one shard (NewDBMonitor).
 package detect
 
 import (

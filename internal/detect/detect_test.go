@@ -59,6 +59,22 @@ func touchedFor(cs []Constraint, touched []relation.TID) [][]relation.TID {
 	return out
 }
 
+// detectTouchedOn evaluates each constraint's EvalTouched over its
+// touched TID list (indexed like cs) on one snapshot and merges the
+// results canonically: the touched restriction of DetectBatchOn.
+func detectTouchedOn(e *Engine, dbs *relation.DBSnapshot, cs []Constraint, touched [][]relation.TID) []Violation {
+	ctx := e.planBatch(dbs, cs)
+	var out []Violation
+	runOrdered(e.workers(), len(cs), func(i int) []Violation {
+		if len(touched[i]) == 0 {
+			return nil
+		}
+		return cs[i].EvalTouched(ctx, touched[i])
+	}, func(vs []Violation) { out = append(out, vs...) })
+	SortViolations(out, SigmaOf(cs))
+	return out
+}
+
 func TestPlanSharesIndexes(t *testing.T) {
 	db, _, cs := customerDB(50, 1, 0.1)
 	ctx := New(0).planBatch(relation.DBSnapshotOf(db), cs)
@@ -183,7 +199,7 @@ func TestDetectTouchedMatchesLegacy(t *testing.T) {
 	cfd.SortViolations(want)
 
 	for _, workers := range []int{1, 2, 8} {
-		got := New(workers).DetectBatchTouchedOn(relation.DBSnapshotOf(db), cs, touchedFor(cs, touched))
+		got := detectTouchedOn(New(workers), relation.DBSnapshotOf(db), cs, touchedFor(cs, touched))
 		if !reflect.DeepEqual(cfdsOf(got), want) {
 			t.Fatalf("workers=%d: incremental batch diverges from cfd.DetectTouched", workers)
 		}
@@ -219,9 +235,9 @@ func TestCodecMatchesLegacyEngine(t *testing.T) {
 						want = append(want, cfd.DetectTouched(in, c, touched)...)
 					}
 					cfd.SortViolations(want)
-					got := cfdsOf(e.DetectBatchTouchedOn(relation.DBSnapshotOf(db), cs, touchedFor(cs, touched)))
+					got := cfdsOf(detectTouchedOn(e, relation.DBSnapshotOf(db), cs, touchedFor(cs, touched)))
 					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("DetectBatchTouchedOn diverges: %d vs %d violations", len(got), len(want))
+						t.Fatalf("touched detection diverges: %d vs %d violations", len(got), len(want))
 					}
 				})
 			}
@@ -308,8 +324,8 @@ func TestNilEngine(t *testing.T) {
 	if e.SatisfiesBatch(db, cs) != cfd.SatisfiesAll(in, sigma) {
 		t.Fatal("nil engine SatisfiesBatch diverges from cfd.SatisfiesAll")
 	}
-	if got := e.DetectBatchTouchedOn(relation.DBSnapshotOf(db), cs, touchedFor(cs, in.IDs())); !reflect.DeepEqual(cfdsOf(got), cfd.DetectAll(in, sigma)) {
-		t.Fatal("nil engine DetectBatchTouchedOn over every TID diverges from cfd.DetectAll")
+	if got := detectTouchedOn(e, relation.DBSnapshotOf(db), cs, touchedFor(cs, in.IDs())); !reflect.DeepEqual(cfdsOf(got), cfd.DetectAll(in, sigma)) {
+		t.Fatal("nil engine touched detection over every TID diverges from cfd.DetectAll")
 	}
 }
 
@@ -322,7 +338,7 @@ func TestEmptyBatch(t *testing.T) {
 	if !e.SatisfiesBatch(db, nil) {
 		t.Fatal("every instance satisfies the empty Σ")
 	}
-	if vs := e.DetectBatchTouchedOn(relation.DBSnapshotOf(db), nil, nil); len(vs) != 0 {
+	if vs := detectTouchedOn(e, relation.DBSnapshotOf(db), nil, nil); len(vs) != 0 {
 		t.Fatalf("empty Σ produced %d incremental violations", len(vs))
 	}
 }

@@ -36,14 +36,13 @@ func Update(id relation.TID, pos int, v relation.Value) Op {
 	return Op{Kind: OpUpdate, TID: id, Pos: pos, Val: v}
 }
 
-// monitorCore is the incremental-maintenance state DBMonitor and
-// ShardedDBMonitor share: the engine, the constraint batch, the stored
-// violation set and its diff protocol. A flat database is the one-shard
-// case. Evaluations reach the core split by shard ([][]Violation,
-// indexed by shard), and the core tags each stored violation with the
-// shard whose evaluation produced it.
+// monitorCore is the incremental-maintenance state of a
+// ShardedDBMonitor: the engine, the constraint batch, the stored
+// violation set and its diff protocol. Evaluations reach the core split
+// by shard ([][]Violation, indexed by shard), and the core tags each
+// stored violation with the shard whose evaluation produced it.
 //
-// The tag is exact without a directory lookup: a shard-local violation
+// The tag is exact without any lookup of where a tuple lives: a shard-local violation
 // is only ever derived on the shard holding its primary tuple (CFD and
 // eCFD groups lie wholly inside one shard; a CIND violation is its
 // source tuple's), and a tuple that moves shards is touched on both

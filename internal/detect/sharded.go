@@ -300,12 +300,18 @@ func (e *Engine) DetectBatchSharded(sdb *relation.ShardedDB, cs []Constraint) ([
 	return out, nil
 }
 
-// ShardedDBMonitor is DBMonitor over a ShardedDB: it owns the per-shard
-// snapshots, the replicated target-key indexes and the global violation
-// set, and keeps all of them consistent under routed update batches.
-// The maintained invariant is the sharded twin of DBMonitor's: after
-// every Apply, Violations() is byte-identical to what DetectBatch would
-// report on the equivalent unsharded database.
+// ShardedDBMonitor is the stateful face of incremental detection: it
+// owns an engine, the per-shard snapshots of a ShardedDB, the
+// replicated target-key indexes and the current violation set of a
+// mixed constraint batch (CFDs, CINDs, eCFDs), and keeps all of them
+// consistent under a stream of update batches that may touch several
+// relations at once. Where Engine.DetectBatch answers "what is wrong
+// now" in full, the monitor answers "what just broke and what just got
+// fixed". A flat database is its one-shard case (NewDBMonitor).
+//
+// The maintained invariant, asserted by randomized tests: after every
+// Apply, Violations() is byte-identical to what DetectBatch reports on
+// the equivalent unsharded database.
 //
 // The monitor is single-writer. Apply is three steps, which callers
 // that time each stage (the serve layer's commit, bench's replay) run
@@ -334,9 +340,13 @@ func NewShardedDBMonitor(e *Engine, sdb *relation.ShardedDB, cs []Constraint) (*
 	if err := CheckShardable(sdb.Partitioner(), cs); err != nil {
 		return nil, err
 	}
+	return newShardedDBMonitor(e, sdb, cs), nil
+}
+
+func newShardedDBMonitor(e *Engine, sdb *relation.ShardedDB, cs []Constraint) *ShardedDBMonitor {
 	m := &ShardedDBMonitor{monitorCore: newMonitorCore(e, cs), sdb: sdb}
 	m.seed(m.evalAll())
-	return m, nil
+	return m
 }
 
 // evalAll refreezes every shard, rebuilds the replicated key indexes
@@ -348,11 +358,11 @@ func (m *ShardedDBMonitor) evalAll() [][]Violation {
 }
 
 // Route validates and routes a logical batch into per-shard sub-batches
-// (sequential, single-writer). Semantics match DBMonitor.Apply's
-// mutation step exactly: ops route in order, the first failing op stops
-// the batch (the routed prefix stands) and returns the identical
-// wrapped error. The returned routing MUST be applied with ApplyRouting
-// before the next Route.
+// (sequential, single-writer). Semantics match applying the ops to one
+// database with Instance.Insert/Delete/Update: ops route in order, the
+// first failing op stops the batch (the routed prefix stands) and
+// returns the instance's error, wrapped. The returned routing MUST be
+// applied with ApplyRouting before the next Route.
 func (m *ShardedDBMonitor) Route(batch []DBOp) (*relation.Routing, error) {
 	r := m.sdb.NewRouting()
 	for _, op := range batch {
@@ -381,9 +391,10 @@ func (m *ShardedDBMonitor) Route(batch []DBOp) (*relation.Routing, error) {
 // others: an ApplyShard error (routing invariants broken by a poisoned
 // batch) or a panic, which is recovered into that shard's error and
 // counted (Panics), is reported as the first failing shard's error in
-// shard order. On any failure ApplyRouting rebuilds the tuple directory
-// from what the shards actually hold (RebuildDir), so the next Sync
-// restores a consistent view of whatever did apply.
+// shard order. On any failure ApplyRouting drops the second copy of any
+// TID a half-applied cross-shard move left on two shards
+// (DropDuplicateTIDs), so the next Sync restores a consistent view of
+// whatever did apply.
 func (m *ShardedDBMonitor) ApplyRouting(r *relation.Routing) error {
 	per := r.PerShard()
 	var firstErr error
@@ -395,7 +406,7 @@ func (m *ShardedDBMonitor) ApplyRouting(r *relation.Routing) error {
 		}
 	})
 	if firstErr != nil {
-		m.sdb.RebuildDir()
+		m.sdb.DropDuplicateTIDs()
 	}
 	return firstErr
 }
@@ -432,12 +443,21 @@ func (m *ShardedDBMonitor) SetShardHookForTest(h func(shard int, ops []relation.
 	m.hook = h
 }
 
-// Apply routes the batch, applies the sub-batches concurrently, and
-// syncs — the sharded counterpart of DBMonitor.Apply, with the same
-// error-prefix semantics and the same gained/cleared contract. A routed
-// op error keeps precedence over an apply-phase failure, since it names
+// Apply applies the batch and returns the violations it gained (newly
+// broken) and cleared (newly fixed), each in the canonical mixed order:
+// it routes the batch, applies the sub-batches concurrently, and syncs.
+// On the first failing op the remaining ops are skipped and the error
+// is returned alongside the diff of the applied prefix. A routed op
+// error keeps precedence over an apply-phase failure, since it names
 // the op the caller sent wrong; either way Sync restores consistency
 // with what actually applied.
+//
+// Concurrent readers are safe only against values the writer has
+// already handed off: the per-shard snapshots a previous Apply/Sync
+// published through ShardSnapshots stay immutable (COW tuple arrays,
+// append-only dictionaries) while the next Apply derives their
+// successors — the hand-off internal/serve's single-writer ingest loop
+// makes to its concurrent read endpoints.
 func (m *ShardedDBMonitor) Apply(batch []DBOp) (gained, cleared []Violation, err error) {
 	r, err := m.Route(batch)
 	if aerr := m.ApplyRouting(r); err == nil {
@@ -454,14 +474,15 @@ func (m *ShardedDBMonitor) Apply(batch []DBOp) (gained, cleared []Violation, err
 //  1. per-shard, per-relation deltas from the instance changelogs
 //     (truncation or a replaced relation → full resync);
 //  2. per-shard snapshot catch-up (each shard pays O(|its Δ|));
-//  3. touched lists per (constraint, shard) — shard-local reasoning for
-//     CFDs/eCFDs, and for CINDs the union of the shard's own source
-//     delta with the broadcast probes of every shard's target-side
-//     changes against this shard's old source index;
+//  3. touched lists per (constraint, shard) from Constraint.Touched —
+//     shard-local reasoning for CFDs/eCFDs, and for CINDs the union of
+//     the shard's own source delta with the broadcast probes of every
+//     shard's target-side changes (TouchCtx.yChanges) against this
+//     shard's old source index;
 //  4. old-side evaluation of the touched lists (against the replicated
 //     key state the old violations were computed under);
 //  5. the target-key replica absorbs the batch's target-side deltas;
-//  6. new-side evaluation, then the stored-set diff DBMonitor shares.
+//  6. new-side evaluation, then the stored-set diff of monitorCore.
 func (m *ShardedDBMonitor) Sync() (gained, cleared []Violation) {
 	S := m.sdb.Shards()
 	// Phase 1 fans per shard across the worker pool: shards are
@@ -495,14 +516,14 @@ func (m *ShardedDBMonitor) Sync() (gained, cleared []Violation) {
 	// ShardedDB.Snapshots (each shard pays O(|its Δ|) on its own core).
 	oldSnaps, newSnaps := m.snaps, m.sdb.Snapshots()
 
+	yChanges := m.collectYChanges(deltas, oldSnaps, newSnaps)
 	tcs := make([]*TouchCtx, S)
 	for s := 0; s < S; s++ {
 		tcs[s] = &TouchCtx{
 			db: m.sdb.Shard(s), old: oldSnaps[s], new: newSnaps[s],
-			deltas: deltas[s], coverInserts: S > 1,
+			deltas: deltas[s], yChanges: yChanges, coverInserts: S > 1,
 		}
 	}
-	yChanges := m.collectYChanges(deltas, oldSnaps, newSnaps)
 	// Phase 3 fans per shard, not per constraint: a TouchCtx memoizes
 	// CoMembers lazily, so every constraint of one shard must run on
 	// one goroutine, while distinct shards touch disjoint contexts and
@@ -515,11 +536,7 @@ func (m *ShardedDBMonitor) Sync() (gained, cleared []Violation) {
 	}
 	runOrdered(m.engine.workers(), S, func(s int) struct{} {
 		for i, c := range m.cs {
-			if cc, ok := c.(cindConstraint); ok {
-				touched[i][s] = cindTouched(cc.c, tcs[s], yChanges[i])
-			} else if deltas[s] != nil {
-				touched[i][s] = c.Touched(tcs[s])
-			}
+			touched[i][s] = c.Touched(tcs[s])
 		}
 		return struct{}{}
 	}, func(struct{}) {})
@@ -533,23 +550,25 @@ func (m *ShardedDBMonitor) Sync() (gained, cleared []Violation) {
 	return m.diff(oldTouched, m.evalTouched(newSnaps, touched))
 }
 
-// collectYChanges gathers, per CIND constraint, the Y projections of
-// every target tuple that entered, left, or changed its Y ∪ Yp
-// projection on ANY shard — the broadcast payload probed against every
-// shard's source index in phase 3.
-func (m *ShardedDBMonitor) collectYChanges(deltas []map[string]*relation.Delta, oldSnaps, newSnaps []*relation.DBSnapshot) [][][]relation.Value {
-	out := make([][][]relation.Value, len(m.cs))
-	for i, c := range m.cs {
+// collectYChanges gathers, per CIND, the Y projections of every target
+// tuple that entered, left, or changed its Y ∪ Yp projection on ANY
+// shard — the broadcast payload probed against every shard's source
+// index in phase 3.
+func (m *ShardedDBMonitor) collectYChanges(deltas []map[string]*relation.Delta, oldSnaps, newSnaps []*relation.DBSnapshot) map[*cind.CIND][][]relation.Value {
+	out := make(map[*cind.CIND][][]relation.Value)
+	for _, c := range m.cs {
 		cc, ok := c.(cindConstraint)
 		if !ok {
 			continue
 		}
 		dst := cc.c.Dst().Name()
+		var ys [][]relation.Value
 		for s, ds := range deltas {
 			oldDst, _ := oldSnaps[s].Snapshot(dst)
 			newDst, _ := newSnaps[s].Snapshot(dst)
-			out[i] = targetYChanges(cc.c, ds[dst], oldDst, newDst, out[i])
+			ys = targetYChanges(cc.c, ds[dst], oldDst, newDst, ys)
 		}
+		out[cc.c] = ys
 	}
 	return out
 }

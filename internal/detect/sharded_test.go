@@ -184,12 +184,14 @@ func shardRecount(snaps []*relation.DBSnapshot, vs []Violation) []int {
 }
 
 // shardedOracleRounds drives the same random multi-relation batches
-// through an unsharded DBMonitor (the shadow) and a ShardedDBMonitor
-// over an identical partitioned copy, asserting after every batch that
-// the violation sets, the gained/cleared diffs and any errors are
-// byte-identical. TIDs allocate in lockstep (both sides start from the
-// same instance and allocate sequentially), so ops drawn against the
-// shadow are valid verbatim on the sharded side.
+// through a one-shard monitor over the database (the shadow) and a
+// ShardedDBMonitor over an identical partitioned copy, asserting after
+// every batch that the violation sets, the gained/cleared diffs and any
+// errors are byte-identical, and that both equal a fresh DetectBatch of
+// the shadow database — the oracle independent of routing. TIDs
+// allocate in lockstep (both sides start from the same instance and
+// allocate sequentially), so ops drawn against the shadow are valid
+// verbatim on the sharded side.
 func shardedOracleRounds(t *testing.T, seed int64, shards, orders, rounds, maxBatch, changelogCap int) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
@@ -232,6 +234,9 @@ func shardedOracleRounds(t *testing.T, seed int64, shards, orders, rounds, maxBa
 		if got, want := m.Violations(), shadow.Violations(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d round %d: sharded monitor holds %d violations, shadow %d:\nsharded %v\nshadow  %v",
 				seed, round, len(got), len(want), got, want)
+		}
+		if got, want := m.Violations(), New(1).DetectBatch(db, cs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d round %d: monitors hold %d violations, fresh DetectBatch of the shadow %d", seed, round, len(got), len(want))
 		}
 		if sdb.Size() != db.Size() {
 			t.Fatalf("seed %d round %d: sharded size %d, shadow %d", seed, round, sdb.Size(), db.Size())
@@ -378,6 +383,9 @@ func TestShardedCrossShardMoves(t *testing.T) {
 		if !reflect.DeepEqual(m.Violations(), shadow.Violations()) {
 			t.Fatalf("%s: violation sets diverge:\nsharded %v\nshadow  %v", step, m.Violations(), shadow.Violations())
 		}
+		if want := New(1).DetectBatch(db, cs); !reflect.DeepEqual(m.Violations(), want) {
+			t.Fatalf("%s: monitors hold %v, fresh DetectBatch of the shadow %v", step, m.Violations(), want)
+		}
 		if got, want := m.ShardCounts(), shardRecount(m.ShardSnapshots(), m.Violations()); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: ShardCounts %v, recount by primary tuple %v", step, got, want)
 		}
@@ -415,7 +423,7 @@ func TestShardedCrossShardMoves(t *testing.T) {
 // tuple across shards, once with the panic on the move's destination
 // shard (the delete applies, the insert does not) and once on its
 // source (the insert applies, the delete does not, so the TID is held
-// twice until ApplyRouting's RebuildDir drops the extra copy). Each
+// twice until ApplyRouting's DropDuplicateTIDs drops the extra copy). Each
 // time the panic must come back as the batch's error and be counted,
 // the monitor must match a fresh detection over its own shard
 // snapshots with no TID on two shards, and the next batch must apply
@@ -512,13 +520,13 @@ func TestShardedApplyPanicIsolation(t *testing.T) {
 }
 
 // TestShardedDBMonitorBadOps: every failing-op shape must report the
-// exact error string DBMonitor reports, and both monitors must
-// resynchronize with the same applied prefix.
+// exact error text, and leave applied exactly the prefix, that applying
+// the batch op by op with Instance.Insert/Delete/Update does (applyFlat
+// on a flat copy) — the monitor then matches a fresh detection of it.
 func TestShardedDBMonitorBadOps(t *testing.T) {
 	cs := shardableSigma()
 	db := gen.Orders(gen.OrdersConfig{Books: 10, CDs: 5, Orders: 40, Seed: 2, ViolationRate: 0})
 	sdb := shardOrders(t, db, 4, cs)
-	shadow := NewDBMonitor(New(1), db, cs)
 	m, err := NewShardedDBMonitor(New(2), sdb, cs)
 	if err != nil {
 		t.Fatal(err)
@@ -535,16 +543,21 @@ func TestShardedDBMonitorBadOps(t *testing.T) {
 		{"domain violation", []DBOp{good, UpdateIn("order", 0, 3, str("not-a-price")), good}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, serr := shadow.Apply(tc.batch)
+			ferr := applyFlat(db, tc.batch)
 			_, _, err := m.Apply(tc.batch)
-			if serr == nil || err == nil {
-				t.Fatalf("both must fail: sharded %v, shadow %v", err, serr)
+			if ferr == nil || err == nil {
+				t.Fatalf("both must fail: monitor %v, flat %v", err, ferr)
 			}
-			if err.Error() != serr.Error() {
-				t.Fatalf("error strings diverge:\nsharded %q\nshadow  %q", err, serr)
+			if err.Error() != ferr.Error() {
+				t.Fatalf("error strings diverge:\nmonitor %q\nflat    %q", err, ferr)
 			}
-			if !reflect.DeepEqual(m.Violations(), shadow.Violations()) {
-				t.Fatal("monitors diverge after the failed batch")
+			gathered, err := relation.GatherSnapshots(m.ShardSnapshots())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameTuples(t, db, gathered)
+			if got, want := m.Violations(), New(1).DetectBatch(db, cs); !reflect.DeepEqual(got, want) {
+				t.Fatal("monitor diverges from a fresh detection of the flat prefix")
 			}
 		})
 	}
@@ -632,6 +645,9 @@ func TestShardedDBMonitorInsertOnlyOracle(t *testing.T) {
 				}
 				if got, want := m.Violations(), shadow.Violations(); !reflect.DeepEqual(got, want) {
 					t.Fatalf("round %d: violations diverge (%d vs %d)", round, len(got), len(want))
+				}
+				if got, want := m.Violations(), New(1).DetectBatch(db, cs); !reflect.DeepEqual(got, want) {
+					t.Fatalf("round %d: monitors hold %d violations, fresh DetectBatch of the shadow %d", round, len(got), len(want))
 				}
 			}
 		})

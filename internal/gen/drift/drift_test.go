@@ -12,7 +12,7 @@ import (
 
 // driftMonitor builds a monitor over a clean drift base with the drift
 // workload's Σ = {ϕ1, ϕ2} (ϕ3 is excluded by design; see drift.go).
-func driftMonitor(t *testing.T, n int) *detect.DBMonitor {
+func driftMonitor(t *testing.T, n int) *detect.ShardedDBMonitor {
 	t.Helper()
 	in := drift.Customers(n, 1)
 	s := in.Schema()

@@ -43,11 +43,11 @@ func shardTuple(t *testing.T, s *ShardedDB, id TID) (int, Tuple) {
 	t.Helper()
 	shard, ok := s.ShardOfTID("r", id)
 	if !ok {
-		t.Fatalf("tuple %d not in directory", id)
+		t.Fatalf("tuple %d is on no shard", id)
 	}
 	tu, ok := s.Shard(shard).MustInstance("r").Tuple(id)
 	if !ok {
-		t.Fatalf("directory says shard %d but tuple %d is not there", shard, id)
+		t.Fatalf("ShardOfTID says shard %d but tuple %d is not there", shard, id)
 	}
 	return shard, tu
 }
@@ -107,7 +107,8 @@ func TestRoutingComposesInsertThenUpdates(t *testing.T) {
 	if err := r.Update("r", id, 1, Str("v1")); err != nil {
 		t.Fatal(err)
 	}
-	insShard, _ := s.ShardOfTID("r", id)
+	// The insert is routed, not applied: its shard is where it hashes.
+	insShard := s.Partitioner().ShardOf("r", Tuple{Str("alpha"), Str("v1")})
 	newKey := ""
 	for i := 0; ; i++ {
 		k := fmt.Sprintf("gamma%d", i)
@@ -142,7 +143,7 @@ func TestRoutingDeleteDropsDeferredPatches(t *testing.T) {
 	}
 	applyAll(s, r)
 	if _, ok := s.ShardOfTID("r", 0); ok {
-		t.Fatal("deleted tuple still in directory")
+		t.Fatal("deleted tuple still on a shard")
 	}
 
 	// A fresh routed insert must see clean state.
@@ -160,7 +161,10 @@ func TestRoutingDeleteDropsDeferredPatches(t *testing.T) {
 
 // TestRoutingMatchesFlatApplication routes a mixed batch and checks
 // the union of the shards equals the same batch applied to a flat
-// instance, tuple for tuple.
+// instance, tuple for tuple. The batch places tuples through the
+// same-batch overlay: an inserted TID key-moved and then deleted, a
+// second delete of it, and an update of a TID deleted earlier in the
+// batch must all answer as the flat instance does.
 func TestRoutingMatchesFlatApplication(t *testing.T) {
 	rows := make([]Tuple, 0, 8)
 	for i := 0; i < 8; i++ {
@@ -186,6 +190,27 @@ func TestRoutingMatchesFlatApplication(t *testing.T) {
 	id, err := r.Insert("r", Tuple{Str("k8"), Str("v8")})
 	step(err)
 	step(r.Update("r", id, 1, Str("v8b")))
+	gone, err := r.Insert("r", Tuple{Str("k9"), Str("v9")})
+	step(err)
+	movedKey := ""
+	for i := 0; ; i++ {
+		k := fmt.Sprintf("k9m%d", i)
+		if s.Partitioner().ShardOf("r", Tuple{Str(k), Str("x")}) != s.Partitioner().ShardOf("r", Tuple{Str("k9"), Str("x")}) {
+			movedKey = k
+			break
+		}
+	}
+	step(r.Update("r", gone, 0, Str(movedKey))) // a move of a routed insert
+	if !r.Delete("r", gone) {
+		t.Fatal("delete of a tuple moved earlier in the batch routed as missing")
+	}
+	if r.Delete("r", gone) {
+		t.Fatal("second delete of a TID routed as live")
+	}
+	uerr := r.Update("r", 7, 1, Str("v7b")) // deleted earlier in the batch
+	if uerr == nil {
+		t.Fatal("update of a TID deleted earlier in the batch routed")
+	}
 	applyAll(s, r)
 
 	step(flat.Update(2, 1, Str("v2b")))
@@ -198,6 +223,18 @@ func TestRoutingMatchesFlatApplication(t *testing.T) {
 		t.Fatalf("TID divergence: sharded %d flat %d", id, fid)
 	}
 	step(flat.Update(id, 1, Str("v8b")))
+	fgone, err := flat.Insert(Tuple{Str("k9"), Str("v9")})
+	step(err)
+	if fgone != gone {
+		t.Fatalf("TID divergence: sharded %d flat %d", gone, fgone)
+	}
+	step(flat.Update(gone, 0, Str(movedKey)))
+	if !flat.Delete(gone) || flat.Delete(gone) {
+		t.Fatal("flat deletes of the moved tuple disagree with routing")
+	}
+	if ferr := flat.Update(7, 1, Str("v7b")); ferr == nil || ferr.Error() != uerr.Error() {
+		t.Fatalf("update of a deleted TID: routing %q, flat %v", uerr, ferr)
+	}
 
 	if got, want := s.Size(), flat.Len(); got != want {
 		t.Fatalf("size %d, want %d", got, want)
@@ -214,9 +251,9 @@ func TestRoutingMatchesFlatApplication(t *testing.T) {
 }
 
 // TestPartitionOneShardAdopts: one shard takes the database over as
-// shard 0 instead of copying it. The directory and the TID counter
-// agree with the adopted instance, and routed inserts, updates and
-// deletes land in the database's own instances.
+// shard 0 instead of copying it. ShardOfTID and the TID counter agree
+// with the adopted instance, and routed inserts, updates and deletes
+// land in the database's own instances.
 func TestPartitionOneShardAdopts(t *testing.T) {
 	sch := MustSchema("r", Attr("k", KindString), Attr("v", KindString))
 	in := NewInstance(sch)
@@ -240,7 +277,7 @@ func TestPartitionOneShardAdopts(t *testing.T) {
 		_, live := in.Tuple(id)
 		shard, ok := s.ShardOfTID("r", id)
 		if ok != live || (ok && shard != 0) {
-			t.Fatalf("tuple %d: directory (%d, %v), instance live %v", id, shard, ok, live)
+			t.Fatalf("tuple %d: ShardOfTID (%d, %v), instance live %v", id, shard, ok, live)
 		}
 	}
 

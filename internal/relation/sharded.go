@@ -21,16 +21,14 @@ import (
 // through a Routing (route phase, sequential) followed by ApplyShard
 // calls (apply phase, parallel across shards, each shard applied by at
 // most one goroutine). Readers work off per-shard DBSnapshots, which
-// remain immutable under concurrent writes.
+// remain immutable under concurrent writes. Where a tuple lives is
+// recorded once, by the shard instance holding it: there is no
+// separate TID directory (see ShardOfTID).
 type ShardedDB struct {
 	part    *Partitioner
 	shards  []*Database
 	schemas map[string]*Schema
 	nextID  map[string]TID
-	// dir maps every live tuple to its shard. It is maintained by the
-	// route phase (not apply), so routing later ops of the same batch
-	// sees moves already performed by earlier ones.
-	dir map[string]map[TID]int
 }
 
 // NewShardedDB returns an empty sharded database cut by the partitioner.
@@ -44,35 +42,39 @@ func NewShardedDB(p *Partitioner) *ShardedDB {
 		shards:  shards,
 		schemas: make(map[string]*Schema),
 		nextID:  make(map[string]TID),
-		dir:     make(map[string]map[TID]int),
 	}
 }
 
 // Partition builds a ShardedDB from an existing database: every
 // instance is cut across the partitioner's shards with AddInstance.
-//
-// With one shard nothing is cut: the ShardedDB adopts db itself as
-// shard 0 (Shard(0) == db) and only builds the TID directory, so the
-// call copies no tuple. Ownership passes with it — from then on db is
-// mutated only through the ShardedDB's routings, like any shard.
+// With one shard nothing is cut, and no key matters: the call is Adopt.
 func Partition(db *Database, p *Partitioner) (*ShardedDB, error) {
-	s := NewShardedDB(p)
 	if p.Shards() == 1 {
-		s.shards[0] = db
-		for _, name := range db.Names() {
-			in := db.MustInstance(name)
-			s.schemas[name] = in.Schema()
-			s.nextID[name] = in.nextID
-		}
-		s.RebuildDir()
-		return s, nil
+		return Adopt(db), nil
 	}
+	s := NewShardedDB(p)
 	for _, name := range db.Names() {
 		if err := s.AddInstance(db.MustInstance(name)); err != nil {
 			return nil, err
 		}
 	}
 	return s, nil
+}
+
+// Adopt returns the one-shard ShardedDB over db: db itself becomes
+// shard 0 (Shard(0) == db), so no tuple is copied or visited — only
+// each relation's schema and next TID are recorded. Ownership passes
+// with it: from then on db is mutated through the ShardedDB's
+// routings, like any shard.
+func Adopt(db *Database) *ShardedDB {
+	s := NewShardedDB(NewPartitioner(1))
+	s.shards[0] = db
+	for _, name := range db.Names() {
+		in := db.MustInstance(name)
+		s.schemas[name] = in.Schema()
+		s.nextID[name] = in.nextID
+	}
+	return s
 }
 
 // Partitioner returns the partitioner the database was cut by.
@@ -104,10 +106,24 @@ func (s *ShardedDB) Size() int {
 	return n
 }
 
-// ShardOfTID returns the shard currently holding the tuple.
+// ShardOfTID returns the shard currently holding the tuple. It asks
+// the shard instances in turn: one map lookup with one shard, at most
+// Shards() otherwise.
 func (s *ShardedDB) ShardOfTID(rel string, id TID) (int, bool) {
-	shard, ok := s.dir[rel][id]
+	_, shard, ok := s.find(rel, id)
 	return shard, ok
+}
+
+// find returns the stored tuple and the shard holding it.
+func (s *ShardedDB) find(rel string, id TID) (Tuple, int, bool) {
+	for shard, db := range s.shards {
+		if in, ok := db.Instance(rel); ok {
+			if t, ok := in.Tuple(id); ok {
+				return t, shard, true
+			}
+		}
+	}
+	return nil, 0, false
 }
 
 // AddInstance partitions an existing instance across the shards,
@@ -124,8 +140,6 @@ func (s *ShardedDB) AddInstance(in *Instance) error {
 		db.Add(si)
 		insts[i] = si
 	}
-	dir := make(map[TID]int, in.Len())
-	s.dir[name] = dir
 	for _, id := range in.IDs() {
 		t, _ := in.Tuple(id)
 		shard := s.part.ShardOf(name, t)
@@ -138,7 +152,6 @@ func (s *ShardedDB) AddInstance(in *Instance) error {
 		if ws, ok := in.weights[id]; ok {
 			insts[shard].weights[id] = append([]float64(nil), ws...)
 		}
-		dir[id] = shard
 	}
 	if s.nextID[name] < in.nextID {
 		s.nextID[name] = in.nextID
@@ -149,31 +162,33 @@ func (s *ShardedDB) AddInstance(in *Instance) error {
 // NextTID returns the TID the next routed insert into the relation
 // would allocate. Single-writer like all mutation state: read it from
 // the sequencer (the goroutine that creates Routings).
-func (s *ShardedDB) NextTID(rel string) TID { return s.nextID[rel] }
+func (s *ShardedDB) NextTID(rel string) TID {
+	id := s.nextID[rel]
+	if in, ok := s.shards[0].Instance(rel); ok {
+		// An insert made directly on shard 0 (a one-shard database
+		// mutated between commits) advances only that instance's counter.
+		id = max(id, in.NextTID())
+	}
+	return id
+}
 
-// RebuildDir reconstructs the tuple directory by scanning every shard —
-// the recovery step after a partially-applied sub-batch left the routed
-// directory ahead of (or behind) what the shards actually hold. A TID
-// found in more than one shard (a cross-shard move whose insert applied
-// but whose delete did not, because that shard's apply failed) is
-// repaired on the spot: the lowest shard's copy is kept and the others
-// deleted — through Instance.Delete, so the monitor's next sync sees
-// the repair — restoring a valid (if partial) partition.
-func (s *ShardedDB) RebuildDir() {
+// DropDuplicateTIDs repairs a partially-applied routing: a TID held by
+// more than one shard (a cross-shard move whose insert applied but
+// whose delete did not, because that shard's apply failed) keeps the
+// lowest shard's copy, and the others are deleted — through
+// Instance.Delete, so the monitor's next sync sees the repair —
+// restoring a valid (if partial) partition. One shard cannot hold a
+// TID twice, so there it does nothing.
+func (s *ShardedDB) DropDuplicateTIDs() {
 	for rel := range s.schemas {
-		dir := make(map[TID]int)
-		for shard, db := range s.shards {
-			if in, ok := db.Instance(rel); ok {
-				for _, id := range in.IDs() {
-					if _, dup := dir[id]; dup {
-						in.Delete(id)
-						continue
-					}
-					dir[id] = shard
+		for shard := 1; shard < len(s.shards); shard++ {
+			in := s.shards[shard].MustInstance(rel)
+			for _, id := range in.IDs() {
+				if _, lower, ok := s.find(rel, id); ok && lower < shard {
+					in.Delete(id)
 				}
 			}
 		}
-		s.dir[rel] = dir
 	}
 }
 
@@ -242,28 +257,32 @@ type ShardedOp struct {
 }
 
 // Routing plans one commit batch against the sharded database. Ops are
-// routed sequentially — validation, TID allocation, directory updates
-// and cross-shard move decisions all happen here, against a same-batch
-// overlay so a later op sees tuples inserted or updated by an earlier
-// one — producing per-shard sub-batches whose application (in order
-// within a shard, concurrently across shards) is equivalent to applying
-// the original batch sequentially against one partition.
+// routed sequentially — validation, TID allocation and cross-shard move
+// decisions all happen here, against a same-batch overlay so a later op
+// sees tuples inserted, moved or deleted by an earlier one — producing
+// per-shard sub-batches whose application (in order within a shard,
+// concurrently across shards) is equivalent to applying the original
+// batch sequentially against one partition.
 //
-// Routing mutates the directory and TID counters eagerly, so a routed
-// batch MUST be applied (ApplyShard on every non-empty sub-batch)
-// before the next Routing is created; route-then-apply are the two
-// phases of one single-writer commit.
+// Routing advances the TID counters eagerly and reads the shard
+// instances for tuples the batch has not touched yet, so a routed batch
+// MUST be applied (ApplyShard on every non-empty sub-batch) before the
+// next Routing is created; route-then-apply are the two phases of one
+// single-writer commit.
 type Routing struct {
 	s        *ShardedDB
 	perShard [][]ShardedOp
-	over     map[string]map[TID]Tuple
-	pend     map[string]map[TID][]cellPatch
+	// over is the same-batch overlay: the current value of every tuple
+	// the batch inserted or key-updated (it sits on the shard its value
+	// hashes to), and a nil tombstone for every TID the batch deleted.
+	over map[string]map[TID]Tuple
+	pend map[string]map[TID][]cellPatch
 }
 
 // cellPatch is a deferred single-cell update: a non-key Update routes
 // the raw (pos, value) pair and records a patch instead of cloning the
-// whole tuple; tupleOf composes the patches lazily iff a later op in
-// the same batch actually needs the tuple's current value.
+// whole tuple; a later key update of the same tuple composes the
+// patches iff it needs the tuple's current value.
 type cellPatch struct {
 	pos int
 	val Value
@@ -303,27 +322,17 @@ func (r *Routing) anyInstance(rel string) *Instance {
 	return r.s.shards[0].MustInstance(rel)
 }
 
-// tupleOf resolves the current value of a live tuple: the same-batch
-// overlay first, then the owning shard's instance, with any deferred
-// single-cell patches composed on top (and folded into the overlay, so
-// repeated reads pay the clone once).
-func (r *Routing) tupleOf(rel string, id TID, shard int) (Tuple, error) {
-	t, ok := r.over[rel][id]
-	if !ok {
-		t, ok = r.s.shards[shard].MustInstance(rel).Tuple(id)
-		if !ok {
-			return nil, fmt.Errorf("relation: sharded %s: directory has tuple %d but shard %d does not (unapplied routing?)", rel, id, shard)
+// locate resolves a tuple live after the routed prefix to its value
+// (without deferred patches) and its shard: the overlay first, then the
+// shard instances. ok is false for a TID that is not live.
+func (r *Routing) locate(rel string, id TID) (t Tuple, shard int, ok bool) {
+	if t, ok := r.over[rel][id]; ok {
+		if t == nil {
+			return nil, 0, false // tombstone
 		}
+		return t, r.s.part.ShardOf(rel, t), true
 	}
-	if ps := r.pend[rel][id]; len(ps) > 0 {
-		t = t.Clone()
-		for _, p := range ps {
-			t[p.pos] = p.val
-		}
-		r.setOver(rel, id, t)
-		delete(r.pend[rel], id)
-	}
-	return t, nil
+	return r.s.find(rel, id)
 }
 
 func (r *Routing) setOver(rel string, id TID, t Tuple) {
@@ -342,10 +351,9 @@ func (r *Routing) Insert(rel string, t Tuple) (TID, error) {
 	if err := r.anyInstance(rel).CheckTuple(t); err != nil {
 		return 0, err
 	}
-	id := r.s.nextID[rel]
+	id := r.s.NextTID(rel)
 	r.s.nextID[rel] = id + 1
 	shard := r.s.part.ShardOf(rel, t)
-	r.s.dir[rel][id] = shard
 	r.setOver(rel, id, t)
 	r.push(shard, ShardedOp{Rel: rel, Kind: ChangeInsert, TID: id, Pos: -1, Tuple: t})
 	return id, nil
@@ -354,14 +362,11 @@ func (r *Routing) Insert(rel string, t Tuple) (TID, error) {
 // Delete routes a tuple delete; like Instance.Delete it reports whether
 // the tuple existed and is a no-op otherwise.
 func (r *Routing) Delete(rel string, id TID) bool {
-	shard, ok := r.s.dir[rel][id]
+	_, shard, ok := r.locate(rel, id)
 	if !ok {
 		return false
 	}
-	delete(r.s.dir[rel], id)
-	if m, ok := r.over[rel]; ok {
-		delete(m, id)
-	}
+	r.setOver(rel, id, nil)
 	if m, ok := r.pend[rel]; ok {
 		delete(m, id)
 	}
@@ -374,7 +379,7 @@ func (r *Routing) Delete(rel string, id TID) bool {
 // delete on the old shard plus an insert (same TID, updated tuple,
 // weights carried along) on the new one.
 func (r *Routing) Update(rel string, id TID, pos int, v Value) error {
-	shard, ok := r.s.dir[rel][id]
+	cur, shard, ok := r.locate(rel, id)
 	if !ok {
 		return fmt.Errorf("relation: %s: no tuple %d", rel, id)
 	}
@@ -399,11 +404,11 @@ func (r *Routing) Update(rel string, id TID, pos int, v Value) error {
 		r.push(shard, ShardedOp{Rel: rel, Kind: ChangeUpdate, TID: id, Pos: pos, Val: v})
 		return nil
 	}
-	cur, err := r.tupleOf(rel, id, shard)
-	if err != nil {
-		return err
-	}
 	nt := cur.Clone()
+	for _, p := range r.pend[rel][id] {
+		nt[p.pos] = p.val
+	}
+	delete(r.pend[rel], id)
 	nt[pos] = v
 	r.setOver(rel, id, nt)
 	newShard := r.s.part.ShardOf(rel, nt)
@@ -419,7 +424,6 @@ func (r *Routing) Update(rel string, id TID, pos int, v Value) error {
 	if old, ok := r.s.shards[shard].MustInstance(rel).weights[id]; ok {
 		ws = append([]float64(nil), old...)
 	}
-	r.s.dir[rel][id] = newShard
 	r.push(shard, ShardedOp{Rel: rel, Kind: ChangeDelete, TID: id, Pos: -1})
 	r.push(newShard, ShardedOp{Rel: rel, Kind: ChangeInsert, TID: id, Pos: -1, Tuple: nt, weights: ws})
 	return nil
@@ -429,11 +433,12 @@ func (r *Routing) Update(rel string, id TID, pos int, v Value) error {
 // of distinct shards touch disjoint instances and may be applied
 // concurrently (one goroutine per shard). Ops were fully validated at
 // route time, so an error here means the routing invariants broke (a
-// poisoned batch, a directory out of step with a shard): ApplyShard
+// poisoned batch, a shard out of step with its routing): ApplyShard
 // stops at the failing op and returns the error instead of killing the
-// process, leaving the caller to degrade — rebuild the directory
-// (RebuildDir) and resynchronize through the changelogs, which is what
-// detect.ShardedDBMonitor.ApplyRouting and Sync do.
+// process, leaving the caller to degrade — repair any TID a partial
+// move left on two shards (DropDuplicateTIDs) and resynchronize through
+// the changelogs, which is what detect.ShardedDBMonitor.ApplyRouting
+// and Sync do.
 func (s *ShardedDB) ApplyShard(shard int, ops []ShardedOp) error {
 	db := s.shards[shard]
 	for _, op := range ops {

@@ -76,7 +76,7 @@ func TestBuildCFDHypergraphExhaustivePairs(t *testing.T) {
 	}
 }
 
-// BuildCFDHypergraphOn over a detect.DBMonitor's maintained snapshot must
+// BuildCFDHypergraphOn over a monitor's maintained snapshot must
 // agree with the from-scratch path, across a mutation that the monitor
 // absorbs incrementally.
 func TestBuildCFDHypergraphOnMonitorSnapshot(t *testing.T) {
@@ -91,7 +91,7 @@ func TestBuildCFDHypergraphOnMonitorSnapshot(t *testing.T) {
 	m := detect.NewDBMonitor(nil, db, detect.WrapCFDs(sigma))
 	check := func() {
 		t.Helper()
-		snap, _ := m.Snapshot().Snapshot(s.Name())
+		snap, _ := m.ShardSnapshots()[0].Snapshot(s.Name())
 		got := BuildCFDHypergraphOn(snap, sigma)
 		want := BuildCFDHypergraph(in, sigma)
 		if len(got.Vertices) != len(want.Vertices) || len(got.Edges) != len(want.Edges) {

@@ -82,8 +82,8 @@ func BuildHypergraph(db *relation.Database, dcs []denial.DC) (*Hypergraph, error
 // instance w.r.t. a set of CFDs over the instance's current snapshot
 // (relation.SnapshotOf — cached, and caught up via the changelog after
 // mutations rather than re-frozen). Callers that already hold a
-// snapshot (e.g. a detect.DBMonitor's) should use BuildCFDHypergraphOn
-// with it.
+// snapshot (e.g. a detect.ShardedDBMonitor's shard snapshot) should
+// use BuildCFDHypergraphOn with it.
 func BuildCFDHypergraph(in *relation.Instance, sigma []*cfd.CFD) *Hypergraph {
 	return BuildCFDHypergraphOn(relation.SnapshotOf(in), sigma)
 }
@@ -98,8 +98,8 @@ func BuildCFDHypergraph(in *relation.Instance, sigma []*cfd.CFD) *Hypergraph {
 // so conflicts between non-representative group members are present and
 // every enumerated X-repair really satisfies Σ. Detection shares the
 // snapshot's cached group indexes, so iterating repair loops that keep
-// the snapshot warm (e.g. through a detect.DBMonitor) pay only for the
-// violation scan.
+// the snapshot warm (e.g. through a detect.ShardedDBMonitor) pay only
+// for the violation scan.
 func BuildCFDHypergraphOn(snap *relation.Snapshot, sigma []*cfd.CFD) *Hypergraph {
 	name := snap.Schema().Name()
 	h := &Hypergraph{index: make(map[denial.TupleRef]int)}

@@ -690,10 +690,10 @@ func (s *Service) flushPending(syncErr error) {
 // replay share. It is the Route → ApplyRouting → Sync sequence
 // ShardedDBMonitor.Apply bundles, each step timed as its own stage;
 // ApplyRouting isolates a failing or panicking shard into an error and
-// rebuilds the tuple directory, and Sync also maintains the per-shard
-// violation counts. The prefix before a failing op is applied and the
-// error returned with the diff, so replaying a logged batch reproduces
-// its TIDs, prefix and error.
+// repairs any TID a half-applied move left on two shards, and Sync also
+// maintains the per-shard violation counts. The prefix before a failing
+// op is applied and the error returned with the diff, so replaying a
+// logged batch reproduces its TIDs, prefix and error.
 func (s *Service) apply(ops []detect.DBOp) (gained, cleared []detect.Violation, err error) {
 	rt := s.met.now()
 	r, err := s.smonitor.Route(ops)

@@ -159,7 +159,7 @@ func randomServeOp(r *rand.Rand, db *relation.Database, fresh *int, dead map[str
 	}
 }
 
-// applyShadow replicates DBMonitor.Apply's mutation semantics on the
+// applyShadow replicates the monitor's Apply mutation semantics on the
 // shadow database: ops in sequence, stop at the first failing op.
 func applyShadow(db *relation.Database, ops []detect.DBOp) error {
 	for _, op := range ops {

@@ -50,7 +50,7 @@ func (d *relDelta) clone() *relDelta {
 
 // validator validates requests against the writer-local tip plus the
 // accepted requests before them. Sequencer-only: it reads the live
-// database / tuple directory, which only the ingest loop mutates.
+// shard instances, which only the ingest loop mutates.
 type validator struct {
 	s    *Service
 	rels map[string]*relDelta // accepted view, per touched relation
