@@ -63,7 +63,9 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"maps"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -170,7 +172,10 @@ func main() {
 		}
 		fmt.Printf("checkpoint covers commit seq %d\n", info.Seq)
 	}
-	for name, path := range data {
+	// Load in sorted relation order, so the report does not depend on
+	// map iteration.
+	for _, name := range slices.Sorted(maps.Keys(data)) {
+		path := data[name]
 		f, err := os.Open(path)
 		if err != nil {
 			log.Fatal(err)

@@ -10,44 +10,55 @@ import (
 // Snapshot-backed CIND violation detection: the columnar fast path of
 // the detection engine. One body, detect, serves every entry point. It
 // runs over a relation.Scope of the source snapshot — every row, or the
-// rows of a touched TID list — and asks a probe whether a source row's
-// t[X] (with the pattern row's Yp constants) occurs in the target:
+// rows of a touched TID list — and asks the code probe whether a source
+// row's t[X] (with the pattern row's Yp constants) occurs in the target.
 //
-//   - the code probe (this file) translates source X codes to target Y
-//     codes and tests the target's relation.CodeIndex with HasCodes —
-//     no string key is ever built;
-//   - the key probe (keys.go) builds the row's legacy probe key and
-//     tests a replicated KeyIndex, for sharded evaluation, where the
-//     target spans every shard.
+// The target is a list of partitions (Target): the whole relation as
+// one entry on a flat database, one entry per shard on a sharded one,
+// where a source tuple's match may live in any shard. The probe
+// translates source X codes to each partition's Y codes and tests the
+// partition's relation.CodeIndex with HasCodes — no string key is ever
+// built — and hits when any partition holds the key.
 //
 // Output matches the string-keyed detector exactly — same violations,
 // same (Row, TID) order. Full snapshot evaluation groups source tuples
 // by X ∪ Xp (SourceGroupPos), so pattern matching and the probe run
 // once per group, not once per tuple: the whole group shares the
 // embedded-IND key and every pattern attribute, so one verdict covers
-// all members. Touched and key-index evaluation visit single rows, and
-// need no source group index. Xp constants compile to source codes
-// once per tableau row (relation.CompileSet); an Xp constant missing
-// from its source column prunes the row.
+// all members. Touched evaluation visits single rows and needs no
+// source group index. Xp constants compile to source codes once per
+// tableau row (relation.CompileSet); an Xp constant missing from its
+// source column prunes the row.
 //
 // The string-keyed path (Detect, DetectAll, ...) remains the
 // compatibility/oracle path; randomized tests here and in
 // internal/detect assert byte-identical output between the two.
 
-// SatisfiesWithSnapshot is Satisfies on the columnar path. A nil dst
-// stands for a missing target relation (every probe misses), mirroring
-// the empty instance the string-keyed path substitutes.
-func SatisfiesWithSnapshot(src, dst *relation.Snapshot, c *CIND, srcIx, dstIx *relation.CodeIndex) bool {
-	return len(detect(src, c, relation.FullScope(src), relation.IndexFor(src, c.SourceGroupPos(), srcIx), newCodeProbe(src, dst, c, dstIx), true)) == 0
+// Target is one partition of a CIND's target relation: its frozen
+// snapshot (nil: the relation is missing, every probe of the partition
+// misses) and, when the caller holds one, its index on TargetKeyPos (nil
+// or mismatched: built from the snapshot).
+type Target struct {
+	Snap  *relation.Snapshot
+	Index *relation.CodeIndex
+}
+
+// SatisfiesWithSnapshot is Satisfies on the columnar path. An empty
+// target list stands for a missing target relation (every probe
+// misses), mirroring the empty instance the string-keyed path
+// substitutes.
+func SatisfiesWithSnapshot(src *relation.Snapshot, dsts []Target, c *CIND, srcIx *relation.CodeIndex) bool {
+	return len(detect(src, c, relation.FullScope(src), relation.IndexFor(src, c.SourceGroupPos(), srcIx), newCodeProbe(src, dsts, c), true)) == 0
 }
 
 // DetectWithSnapshot is Detect on the columnar path: all violations of
-// the CIND with source and target frozen in the given snapshots, in
-// (Row, TID) order, byte-identical to the string-keyed detector. A nil
-// src (missing source relation) is vacuously satisfied; a nil dst
-// behaves as an empty target.
-func DetectWithSnapshot(src, dst *relation.Snapshot, c *CIND, srcIx, dstIx *relation.CodeIndex) []Violation {
-	return detect(src, c, relation.FullScope(src), relation.IndexFor(src, c.SourceGroupPos(), srcIx), newCodeProbe(src, dst, c, dstIx), false)
+// the CIND with source and target partitions frozen in the given
+// snapshots, in (Row, TID) order, byte-identical to the string-keyed
+// detector over the union of the partitions. A nil src (missing source
+// relation) is vacuously satisfied; an empty target list behaves as an
+// empty target.
+func DetectWithSnapshot(src *relation.Snapshot, dsts []Target, c *CIND, srcIx *relation.CodeIndex) []Violation {
+	return detect(src, c, relation.FullScope(src), relation.IndexFor(src, c.SourceGroupPos(), srcIx), newCodeProbe(src, dsts, c), false)
 }
 
 // DetectTouchedWithSnapshot returns the violations of c whose source
@@ -56,18 +67,9 @@ func DetectWithSnapshot(src, dst *relation.Snapshot, c *CIND, srcIx, dstIx *rela
 // post-batch snapshot pair. Touched TIDs missing from the source
 // snapshot (deleted, or inserted after the freeze) are skipped. Probes
 // run per touched tuple, so no source group index is needed; the target
-// index is validated like DetectWithSnapshot's.
-func DetectTouchedWithSnapshot(src, dst *relation.Snapshot, c *CIND, dstIx *relation.CodeIndex, touched []relation.TID) []Violation {
-	return detect(src, c, relation.TouchedScope(src, touched), nil, newCodeProbe(src, dst, c, dstIx), false)
-}
-
-// probe is the target-side test of the one detection body.
-type probe interface {
-	// setRow prepares the probes of one pattern row.
-	setRow(row PatternRow)
-	// hit reports whether source row r has a target match under the
-	// current pattern row.
-	hit(r int) bool
+// indexes are validated like DetectWithSnapshot's.
+func DetectTouchedWithSnapshot(src *relation.Snapshot, dsts []Target, c *CIND, touched []relation.TID) []Violation {
+	return detect(src, c, relation.TouchedScope(src, touched), nil, newCodeProbe(src, dsts, c), false)
 }
 
 // detect is the one CIND detection body. It visits the groups of srcIx
@@ -75,7 +77,7 @@ type probe interface {
 // whose representative matches the pattern row's Xp and misses the
 // probe contributes a violation per member. Each pattern row's segment
 // is sorted ascending by TID.
-func detect(src *relation.Snapshot, c *CIND, sc relation.Scope, srcIx *relation.CodeIndex, pr probe, firstOnly bool) []Violation {
+func detect(src *relation.Snapshot, c *CIND, sc relation.Scope, srcIx *relation.CodeIndex, pr *codeProbe, firstOnly bool) []Violation {
 	if sc.Len() == 0 {
 		return nil
 	}
@@ -114,70 +116,97 @@ func detect(src *relation.Snapshot, c *CIND, sc relation.Scope, srcIx *relation.
 	return out
 }
 
-// codeProbe tests the target snapshot's index on Y ∪ Yp by code
-// sequence. Source X codes translate to target Y codes through a
-// per-column memo (source code → target code), so a value shared by
-// many source groups pays the cross-dictionary lookup once. Yp
-// constants resolve to target codes per pattern row (a NaN constant
-// meets NaN data under the one shared NaN code, as the string-keyed
-// probe puts every NaN under one key), so only a dictionary miss fails
-// them — and then every probe of the row misses.
+// codeProbe tests each target partition's index on Y ∪ Yp by code
+// sequence. Every partition has its own dictionaries, so each holds its
+// own translation memo: source X codes translate to the partition's Y
+// codes through a per-column memo (source code → target code), and a
+// value shared by many source groups pays the cross-dictionary lookup
+// once per partition. Yp constants resolve to partition codes per
+// pattern row (a NaN constant meets NaN data under the one shared NaN
+// code, as the string-keyed probe puts every NaN under one key), so only
+// a dictionary miss fails them — and then every probe of that partition
+// misses for the row.
 type codeProbe struct {
-	src, dst *relation.Snapshot
-	c        *CIND
-	ix       *relation.CodeIndex // target index on TargetKeyPos; nil when dst is
-	xcols    [][]uint32
-	tab      [][]int64 // tab[i][sc]: 0 unknown, -1 absent from the target, else code+1
-	key      []uint32  // t[X] codes, then the row's Yp codes
-	ypOK     bool
+	src   *relation.Snapshot
+	c     *CIND
+	xcols [][]uint32
+	parts []probePart
 }
 
-// newCodeProbe binds a probe to the target snapshot (nil: a missing
-// target relation, every probe misses), validating dstIx.
-func newCodeProbe(src, dst *relation.Snapshot, c *CIND, dstIx *relation.CodeIndex) *codeProbe {
-	return &codeProbe{src: src, dst: dst, c: c, ix: relation.IndexFor(dst, c.TargetKeyPos(), dstIx),
-		xcols: make([][]uint32, len(c.x)), tab: make([][]int64, len(c.x)), key: make([]uint32, len(c.y)+len(c.yp))}
+// probePart is the probe state of one target partition.
+type probePart struct {
+	dst  *relation.Snapshot
+	ix   *relation.CodeIndex // index on TargetKeyPos
+	tab  [][]int64           // tab[i][sc]: 0 unknown, -1 absent from the partition, else code+1
+	key  []uint32            // t[X] codes, then the row's Yp codes
+	ypOK bool
+}
+
+// newCodeProbe binds a probe to the target partitions, validating their
+// indexes; partitions of a missing relation (nil snapshot) are dropped,
+// since every probe of theirs misses.
+func newCodeProbe(src *relation.Snapshot, dsts []Target, c *CIND) *codeProbe {
+	p := &codeProbe{src: src, c: c, xcols: make([][]uint32, len(c.x)), parts: make([]probePart, 0, len(dsts))}
+	for _, t := range dsts {
+		if t.Snap == nil {
+			continue
+		}
+		p.parts = append(p.parts, probePart{dst: t.Snap, ix: relation.IndexFor(t.Snap, c.TargetKeyPos(), t.Index),
+			tab: make([][]int64, len(c.x)), key: make([]uint32, len(c.y)+len(c.yp))})
+	}
+	return p
 }
 
 func (p *codeProbe) setRow(row PatternRow) {
 	for i, x := range p.c.x {
 		p.xcols[i] = p.src.Col(x)
 	}
-	p.ypOK = p.dst != nil
-	for j, q := range p.c.yp {
-		if !p.ypOK {
-			return
+	for k := range p.parts {
+		pt := &p.parts[k]
+		pt.ypOK = true
+		for j, q := range p.c.yp {
+			if pt.key[len(p.c.y)+j], pt.ypOK = pt.dst.Dict(q).Code(row.YpVals[j]); !pt.ypOK {
+				break
+			}
 		}
-		p.key[len(p.c.y)+j], p.ypOK = p.dst.Dict(q).Code(row.YpVals[j])
 	}
 }
 
+// hit reports whether source row r has a match in any target partition
+// under the current pattern row.
 func (p *codeProbe) hit(r int) bool {
-	if !p.ypOK {
-		return false
-	}
-	for i, col := range p.xcols {
-		tc, ok := p.translate(i, col[r])
-		if !ok {
-			return false // source value absent from the target column
+parts:
+	for k := range p.parts {
+		pt := &p.parts[k]
+		if !pt.ypOK {
+			continue
 		}
-		p.key[i] = tc
+		for i, col := range p.xcols {
+			tc, ok := pt.translate(p, i, col[r])
+			if !ok {
+				continue parts // source value absent from the partition's column
+			}
+			pt.key[i] = tc
+		}
+		if pt.ix.HasCodes(pt.key) {
+			return true
+		}
 	}
-	return p.ix.HasCodes(p.key)
+	return false
 }
 
-// translate maps source code sc of column X[i] to the target code of
-// the Equal value in column Y[i], memoized.
-func (p *codeProbe) translate(i int, sc uint32) (uint32, bool) {
-	tb := p.tab[i]
+// translate maps source code sc of column X[i] to the partition's code
+// of the Equal value in column Y[i], memoized.
+func (pt *probePart) translate(p *codeProbe, i int, sc uint32) (uint32, bool) {
+	tb := pt.tab[i]
 	if tb == nil {
 		tb = make([]int64, p.src.Dict(p.c.x[i]).Len())
-		p.tab[i] = tb
+		pt.tab[i] = tb
 	}
 	if int(sc) >= len(tb) {
 		// The shared dictionary grew past the memo (another snapshot is
 		// interning concurrently); translate directly.
-		return p.dst.Dict(p.c.y[i]).Code(p.src.Dict(p.c.x[i]).Value(sc))
+		return pt.dst.Dict(p.c.y[i]).Code(p.src.Dict(p.c.x[i]).Value(sc))
 	}
 	switch v := tb[sc]; {
 	case v > 0:
@@ -185,7 +214,7 @@ func (p *codeProbe) translate(i int, sc uint32) (uint32, bool) {
 	case v < 0:
 		return 0, false
 	}
-	c, ok := p.dst.Dict(p.c.y[i]).Code(p.src.Dict(p.c.x[i]).Value(sc))
+	c, ok := pt.dst.Dict(p.c.y[i]).Code(p.src.Dict(p.c.x[i]).Value(sc))
 	if ok {
 		tb[sc] = int64(c) + 1
 	} else {

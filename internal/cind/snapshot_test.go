@@ -18,15 +18,26 @@ import (
 func snapDetect(db *relation.Database, c *cind.CIND) []cind.Violation {
 	dbs := relation.NewDBSnapshot(db)
 	src, _ := dbs.Snapshot(c.Src().Name())
-	dst, _ := dbs.Snapshot(c.Dst().Name())
-	var srcIx, dstIx *relation.CodeIndex
+	var srcIx *relation.CodeIndex
 	if src != nil {
 		srcIx = src.CodeIndexOn(c.SourceGroupPos())
 	}
-	if dst != nil {
-		dstIx = dst.CodeIndexOn(c.TargetKeyPos())
+	return cind.DetectWithSnapshot(src, wholeTarget(dbs, c, true), c, srcIx)
+}
+
+// wholeTarget is the one-partition target list of c over dbs — empty
+// when the target relation is missing — with the target index prebuilt
+// when indexed, left for the kernel to build otherwise.
+func wholeTarget(dbs *relation.DBSnapshot, c *cind.CIND, indexed bool) []cind.Target {
+	dst, ok := dbs.Snapshot(c.Dst().Name())
+	if !ok {
+		return nil
 	}
-	return cind.DetectWithSnapshot(src, dst, c, srcIx, dstIx)
+	t := cind.Target{Snap: dst}
+	if indexed {
+		t.Index = dst.CodeIndexOn(c.TargetKeyPos())
+	}
+	return []cind.Target{t}
 }
 
 // TestSnapshotMatchesLegacy drives randomized order/book/CD databases —
@@ -64,8 +75,7 @@ func TestSnapshotMatchesLegacy(t *testing.T) {
 					}
 					dbs := relation.NewDBSnapshot(db)
 					src, _ := dbs.Snapshot(c.Src().Name())
-					dst, _ := dbs.Snapshot(c.Dst().Name())
-					if got, want := cind.SatisfiesWithSnapshot(src, dst, c, nil, nil), cind.Satisfies(db, c); got != want {
+					if got, want := cind.SatisfiesWithSnapshot(src, wholeTarget(dbs, c, false), c, nil), cind.Satisfies(db, c); got != want {
 						t.Fatalf("seed %d round %d ϕ%d: SatisfiesWithSnapshot = %v, legacy %v", seed, round, i+4, got, want)
 					}
 				}
@@ -199,8 +209,8 @@ func TestDetectTouchedWithSnapshot(t *testing.T) {
 	db := gen.Orders(gen.OrdersConfig{Books: 30, CDs: 20, Orders: 200, Seed: 11, ViolationRate: 0.2})
 	dbs := relation.NewDBSnapshot(db)
 	src, _ := dbs.Snapshot("order")
-	dst, _ := dbs.Snapshot("book")
-	full := cind.DetectWithSnapshot(src, dst, phi4, nil, nil)
+	dsts := wholeTarget(dbs, phi4, false)
+	full := cind.DetectWithSnapshot(src, dsts, phi4, nil)
 
 	touched := []relation.TID{0, 3, 5, 7, 1000000} // unknown TIDs are skipped
 	inTouched := func(id relation.TID) bool {
@@ -217,7 +227,7 @@ func TestDetectTouchedWithSnapshot(t *testing.T) {
 			want = append(want, v)
 		}
 	}
-	got := cind.DetectTouchedWithSnapshot(src, dst, phi4, nil, touched)
+	got := cind.DetectTouchedWithSnapshot(src, dsts, phi4, touched)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("DetectTouched = %v, want restriction %v", got, want)
 	}
@@ -241,12 +251,15 @@ func TestDetectAllCanonicalOrder(t *testing.T) {
 }
 
 // TestKernelScopesAndProbes pins the contract of the one detection body
-// across its scopes and probes: over a touched scope it reports exactly
-// the full scope's violations of touched source tuples (random lists of
-// present, deleted and never-assigned TIDs), and the key probe over a
-// KeyIndex of the whole target reports exactly what the code probe over
-// the target snapshot does — full and touched, with a missing target
-// relation (an empty KeyIndex) too, and under forced hash collisions.
+// across its scopes and target partitionings: over a touched scope it
+// reports exactly the full scope's violations of touched source tuples
+// (random lists of present, deleted and never-assigned TIDs), and the
+// same target split across k ∈ {1, 2, 3} partitions — each frozen from
+// its own instance, so each has its own dictionaries and its own
+// source→target code translation, one sometimes empty — reports exactly
+// what the whole-target probe and cind.Detect do: full and touched, with
+// a missing target relation (every partition nil) too, and under forced
+// hash collisions.
 func TestKernelScopesAndProbes(t *testing.T) {
 	phi4, phi5, phi6 := figure4()
 	sigma := []*cind.CIND{phi4, phi5, phi6, bigPriceCIND(),
@@ -270,46 +283,79 @@ func TestKernelScopesAndProbes(t *testing.T) {
 				dbs := relation.NewDBSnapshot(db)
 				for ci, c := range sigma {
 					src, _ := dbs.Snapshot(c.Src().Name())
-					dst, _ := dbs.Snapshot(c.Dst().Name())
-					keys := cind.NewKeyIndex()
-					if dst != nil {
-						for row := 0; row < dst.Len(); row++ {
-							keys.Add(cind.AppendRowKey(nil, dst, row, c.TargetKeyPos()))
-						}
-					}
-					full := cind.DetectWithSnapshot(src, dst, c, nil, nil)
+					whole := wholeTarget(dbs, c, false)
+					full := cind.DetectWithSnapshot(src, whole, c, nil)
 					if legacy := cind.Detect(db, c); !reflect.DeepEqual(full, legacy) {
 						t.Fatalf("round %d cind %d: snapshot %v, legacy %v", round, ci, full, legacy)
 					}
-					if got := cind.DetectWithKeys(src, c, keys); !reflect.DeepEqual(got, full) {
-						t.Fatalf("round %d cind %d: key probe %v, code probe %v", round, ci, got, full)
-					}
-					for k := 0; k < 5; k++ {
-						var touched []relation.TID
-						for _, id := range r.Perm(160)[:r.Intn(20)] {
-							touched = append(touched, relation.TID(id))
+					for k := 1; k <= 3; k++ {
+						parts := partitionTarget(r, db, c, k, round%2 == 1)
+						if got := cind.DetectWithSnapshot(src, parts, c, nil); !reflect.DeepEqual(got, full) {
+							t.Fatalf("round %d cind %d k=%d: partitioned %v, whole %v", round, ci, k, got, full)
 						}
-						in := map[relation.TID]bool{}
-						for _, id := range touched {
-							in[id] = true
+						if got, want := cind.SatisfiesWithSnapshot(src, parts, c, nil), len(full) == 0; got != want {
+							t.Fatalf("round %d cind %d k=%d: partitioned Satisfies = %v, want %v", round, ci, k, got, want)
 						}
-						var want []cind.Violation
-						for _, v := range full {
-							if in[v.TID] {
-								want = append(want, v)
+						for n := 0; n < 5; n++ {
+							var touched []relation.TID
+							for _, id := range r.Perm(160)[:r.Intn(20)] {
+								touched = append(touched, relation.TID(id))
 							}
-						}
-						if got := cind.DetectTouchedWithSnapshot(src, dst, c, nil, touched); !reflect.DeepEqual(got, want) {
-							t.Fatalf("round %d cind %d touched %v: code probe %v, want %v", round, ci, touched, got, want)
-						}
-						if got := cind.DetectTouchedWithKeys(src, c, keys, touched); !reflect.DeepEqual(got, want) {
-							t.Fatalf("round %d cind %d touched %v: key probe %v, want %v", round, ci, touched, got, want)
+							in := map[relation.TID]bool{}
+							for _, id := range touched {
+								in[id] = true
+							}
+							var want []cind.Violation
+							for _, v := range full {
+								if in[v.TID] {
+									want = append(want, v)
+								}
+							}
+							if got := cind.DetectTouchedWithSnapshot(src, whole, c, touched); !reflect.DeepEqual(got, want) {
+								t.Fatalf("round %d cind %d touched %v: whole %v, want %v", round, ci, touched, got, want)
+							}
+							if got := cind.DetectTouchedWithSnapshot(src, parts, c, touched); !reflect.DeepEqual(got, want) {
+								t.Fatalf("round %d cind %d k=%d touched %v: partitioned %v, want %v", round, ci, k, touched, got, want)
+							}
 						}
 					}
 				}
 			}
 		})
 	}
+}
+
+// partitionTarget splits c's target relation in db across k fresh
+// instances at random — the last one left empty when lastEmpty and k >
+// 1 — and freezes each into a partition, prebuilding the index of every
+// other one. A missing target relation yields k nil partitions.
+func partitionTarget(r *rand.Rand, db *relation.Database, c *cind.CIND, k int, lastEmpty bool) []cind.Target {
+	parts := make([]cind.Target, k)
+	in, ok := db.Instance(c.Dst().Name())
+	if !ok {
+		return parts
+	}
+	n := k
+	if lastEmpty && k > 1 {
+		n--
+	}
+	shards := make([]*relation.Instance, k)
+	for i := range shards {
+		shards[i] = relation.NewInstance(in.Schema())
+	}
+	for _, id := range in.IDs() {
+		tup, _ := in.Tuple(id)
+		if err := shards[r.Intn(n)].InsertWithTID(id, tup); err != nil {
+			panic(err)
+		}
+	}
+	for i, sh := range shards {
+		parts[i].Snap = relation.NewSnapshot(sh)
+		if i%2 == 0 {
+			parts[i].Index = parts[i].Snap.CodeIndexOn(c.TargetKeyPos())
+		}
+	}
+	return parts
 }
 
 // withoutRelation returns a database holding every relation of db but

@@ -124,38 +124,36 @@ func (w cindConstraint) Reqs() []IndexReq {
 	}
 }
 
-// snapshots resolves the CIND's source and target snapshots and shared
-// indexes; dst stays nil for a missing target relation (every probe
+// targets resolves the partitions of the CIND's target relation: its
+// snapshot on every shard of the evaluation, each with the shard's
+// shared index. A missing target relation yields none (every probe
 // misses, like the empty instance cind.Detect substitutes).
-func (w cindConstraint) snapshots(ctx *Ctx) (src, dst *relation.Snapshot, srcIx, dstIx *relation.CodeIndex) {
-	src = ctx.Snapshot(w.c.Src().Name())
-	dst = ctx.Snapshot(w.c.Dst().Name())
-	if src != nil {
-		srcIx = ctx.Index(w.c.Src().Name(), w.c.SourceGroupPos())
+func (w cindConstraint) targets(ctx *Ctx) []cind.Target {
+	rel, pos := w.c.Dst().Name(), w.c.TargetKeyPos()
+	out := make([]cind.Target, 0, len(ctx.shards))
+	for _, sc := range ctx.shards {
+		if snap := sc.Snapshot(rel); snap != nil {
+			out = append(out, cind.Target{Snap: snap, Index: sc.Index(rel, pos)})
+		}
 	}
-	if dst != nil {
-		dstIx = ctx.Index(w.c.Dst().Name(), w.c.TargetKeyPos())
-	}
-	return
+	return out
 }
 
 func (w cindConstraint) Eval(ctx *Ctx) []Violation {
-	src, dst, srcIx, dstIx := w.snapshots(ctx)
-	return box(cind.DetectWithSnapshot(src, dst, w.c, srcIx, dstIx))
+	src := w.c.Src().Name()
+	return box(cind.DetectWithSnapshot(ctx.Snapshot(src), w.targets(ctx), w.c, ctx.Index(src, w.c.SourceGroupPos())))
 }
 
-// EvalTouched probes per touched tuple, so it requests the target index
-// only: building a source group index would cost a pass over the
-// source relation the touched scan never reads.
+// EvalTouched probes per touched tuple, so it requests the target
+// indexes only: building a source group index would cost a pass over
+// the source relation the touched scan never reads.
 func (w cindConstraint) EvalTouched(ctx *Ctx, touched []relation.TID) []Violation {
-	src, dst := w.c.Src().Name(), w.c.Dst().Name()
-	return box(cind.DetectTouchedWithSnapshot(ctx.Snapshot(src), ctx.Snapshot(dst), w.c,
-		ctx.Index(dst, w.c.TargetKeyPos()), touched))
+	return box(cind.DetectTouchedWithSnapshot(ctx.Snapshot(w.c.Src().Name()), w.targets(ctx), w.c, touched))
 }
 
 func (w cindConstraint) Satisfied(ctx *Ctx) bool {
-	src, dst, srcIx, dstIx := w.snapshots(ctx)
-	return cind.SatisfiesWithSnapshot(src, dst, w.c, srcIx, dstIx)
+	src := w.c.Src().Name()
+	return cind.SatisfiesWithSnapshot(ctx.Snapshot(src), w.targets(ctx), w.c, ctx.Index(src, w.c.SourceGroupPos()))
 }
 
 // Touched assembles the CIND touched list on one shard (a flat
@@ -202,47 +200,40 @@ func (w cindConstraint) Touched(tc *TouchCtx) []relation.TID {
 }
 
 // targetYChanges appends to out the Y projection of every target row
-// the delta changed on the CIND's Y ∪ Yp (see keyChanges).
+// the delta changed on the CIND's Y ∪ Yp: inserted rows on the new
+// side, deleted rows on the old side, and rows updated on Y ∪ Yp on
+// both. A nil delta or snapshot contributes nothing.
 func targetYChanges(c *cind.CIND, d *relation.Delta, oldSnap, newSnap *relation.Snapshot, out [][]relation.Value) [][]relation.Value {
-	y := c.Y()
-	keyChanges(d, oldSnap, newSnap, c.TargetKeyPos(), func(snap *relation.Snapshot, r int, _ bool) {
-		vals := make([]relation.Value, len(y))
-		for j, p := range y {
-			vals[j] = snap.Value(r, p)
-		}
-		out = append(out, vals)
-	})
-	return out
-}
-
-// keyChanges walks the rows whose keyPos projection a delta changed:
-// inserted rows on the new side, deleted rows on the old side, and rows
-// updated on keyPos on both; arrived tells the new side from the old.
-// A nil delta or snapshot contributes nothing.
-func keyChanges(d *relation.Delta, oldSnap, newSnap *relation.Snapshot, keyPos []int, visit func(snap *relation.Snapshot, r int, arrived bool)) {
 	if d == nil {
-		return
+		return out
 	}
-	at := func(snap *relation.Snapshot, id relation.TID, arrived bool) {
+	y := c.Y()
+	at := func(snap *relation.Snapshot, id relation.TID) {
 		if snap == nil {
 			return
 		}
 		if r, ok := snap.Row(id); ok {
-			visit(snap, r, arrived)
+			vals := make([]relation.Value, len(y))
+			for j, p := range y {
+				vals[j] = snap.Value(r, p)
+			}
+			out = append(out, vals)
 		}
 	}
 	for _, id := range d.Inserted {
-		at(newSnap, id, true)
+		at(newSnap, id)
 	}
 	for _, id := range d.Deleted {
-		at(oldSnap, id, false)
+		at(oldSnap, id)
 	}
+	keyPos := c.TargetKeyPos()
 	for id := range d.Updated {
 		if d.Touches(id, keyPos) {
-			at(oldSnap, id, false)
-			at(newSnap, id, true)
+			at(oldSnap, id)
+			at(newSnap, id)
 		}
 	}
+	return out
 }
 
 // --- shared touched-list machinery ---------------------------------------

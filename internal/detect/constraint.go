@@ -161,6 +161,10 @@ func WrapECFDs(es []*ecfd.ECFD) []Constraint {
 type Ctx struct {
 	dbs *relation.DBSnapshot
 	idx map[string]*lazyIndex
+	// shards holds every shard's context of the same evaluation, this
+	// one included, in shard order — a flat evaluation's holds only
+	// itself. A CIND reaches its target on every shard through it.
+	shards []*Ctx
 }
 
 // Snapshot returns the frozen snapshot of the named relation, or nil
@@ -226,7 +230,24 @@ func (e *Engine) planBatch(dbs *relation.DBSnapshot, cs []Constraint) *Ctx {
 			}
 		}
 	}
+	ctx.shards = []*Ctx{ctx}
 	return ctx
+}
+
+// planShards plans one sharded evaluation: a context for every shard
+// plan selects (nil elsewhere), all linked through one shard list, so a
+// CIND evaluated on any shard probes every shard's target through its
+// sibling's shared lazy index — each built at most once per evaluation.
+// A CIND may only run when every shard is planned.
+func (e *Engine) planShards(snaps []*relation.DBSnapshot, cs []Constraint, plan func(s int) bool) []*Ctx {
+	ctxs := make([]*Ctx, len(snaps))
+	for s, dbs := range snaps {
+		if plan(s) {
+			ctxs[s] = e.planBatch(dbs, cs)
+			ctxs[s].shards = ctxs
+		}
+	}
+	return ctxs
 }
 
 // DetectBatch evaluates a mixed constraint batch over the database —

@@ -23,15 +23,16 @@ import (
 //     that violate this (pick the key with DeriveShardKeys, or pass
 //     -shard-key so every LHS contains it).
 //   - CINDs are never shard-local — a source tuple's match may live in
-//     any target shard — so target membership is replicated: one small
-//     cind.KeyIndex per (target relation, Y ∪ Yp positions) holds every
-//     shard's target keys, source shards probe it locally, and
-//     target-side changes are broadcast (the replica is updated and the
-//     changed Y projections are probed against every shard's source
-//     index to find the flipped source tuples).
+//     any target shard — so each source shard probes the target
+//     relation on every shard: a shard's Ctx reaches its siblings'
+//     target snapshots and shared lazy indexes, and a probe hits when
+//     any shard's target CodeIndex holds the key (the one-shard probe
+//     run over every target shard). Target-side changes are broadcast:
+//     the changed Y projections are probed against every shard's source
+//     index to find the flipped source tuples.
 //   - One shard has no seam: every group and every CIND target is
-//     local, so any batch is accepted and CINDs probe the target's own
-//     CodeIndex, exactly as on an unsharded database.
+//     local, so any batch is accepted, exactly as on an unsharded
+//     database.
 //
 // Because TIDs are global (the ShardedDB allocates them) and the
 // per-shard results are merged through the same SortViolations
@@ -41,8 +42,8 @@ import (
 // CheckShardable reports why a constraint batch cannot run sharded
 // under the partitioner, nil when it can. CFDs and eCFDs require the
 // primary relation's partition key to be a subset of their LHS; CINDs
-// always shard (via the replicated target-key index); constraint
-// classes beyond the built-ins are rejected. With one shard every group
+// always shard (each source shard probes the target on every shard);
+// constraint classes beyond the built-ins are rejected. With one shard every group
 // and every CIND target is local, so any built-in batch passes.
 func CheckShardable(p *relation.Partitioner, cs []Constraint) error {
 	for _, c := range cs {
@@ -204,64 +205,16 @@ func dedupSorted(pos []int) []int {
 	return out[:w]
 }
 
-// tkKey is the map key replicated target-key indexes share: one index
-// per distinct (target relation, Y ∪ Yp positions) across the batch,
-// mirroring the planner's target-index sharing.
-func tkKey(c *cind.CIND) string { return relPosKey(c.Dst().Name(), c.TargetKeyPos()) }
-
-// buildTargetKeys scans every shard's target snapshots into the
-// replicated key multisets. One shard holds every target itself, so it
-// gets none (nil): its CINDs probe the target's own CodeIndex, as on an
-// unsharded database.
-func buildTargetKeys(snaps []*relation.DBSnapshot, cs []Constraint) map[string]*cind.KeyIndex {
-	if len(snaps) == 1 {
-		return nil
-	}
-	tk := make(map[string]*cind.KeyIndex)
-	for _, c := range cs {
-		cc, ok := c.(cindConstraint)
-		if !ok {
-			continue
-		}
-		key := tkKey(cc.c)
-		if _, ok := tk[key]; ok {
-			continue
-		}
-		idx := cind.NewKeyIndex()
-		keyPos := cc.c.TargetKeyPos()
-		buf := make([]byte, 0, 64)
-		for _, ds := range snaps {
-			snap, ok := ds.Snapshot(cc.c.Dst().Name())
-			if !ok {
-				continue
-			}
-			for r := 0; r < snap.Len(); r++ {
-				buf = cind.AppendRowKey(buf[:0], snap, r, keyPos)
-				idx.Add(buf)
-			}
-		}
-		tk[key] = idx
-	}
-	return tk
-}
-
 // shardedEvalAll evaluates the full batch over per-shard snapshots:
-// every (constraint, shard) pair is one task on the worker pool —
-// CFDs/eCFDs through their ordinary per-shard Eval (shard-locality
-// makes that exact), CINDs through the replicated key index — and the
-// results are gathered per shard. Each source tuple lives on exactly
-// one shard, so the concatenation has exactly the unsharded
-// multiplicities.
-func (e *Engine) shardedEvalAll(snaps []*relation.DBSnapshot, cs []Constraint, tk map[string]*cind.KeyIndex) [][]Violation {
-	ctxs := make([]*Ctx, len(snaps))
-	for s := range ctxs {
-		ctxs[s] = e.planBatch(snaps[s], cs)
-	}
+// every (constraint, shard) pair is one task on the worker pool, each
+// through the constraint's ordinary Eval on the shard's Ctx
+// (shard-locality makes that exact for CFDs/eCFDs; a CIND probes the
+// target on every shard), and the results are gathered per shard. Each
+// source tuple lives on exactly one shard, so the concatenation has
+// exactly the unsharded multiplicities.
+func (e *Engine) shardedEvalAll(snaps []*relation.DBSnapshot, cs []Constraint) [][]Violation {
+	ctxs := e.planShards(snaps, cs, func(int) bool { return true })
 	return e.fanShards(len(cs), len(snaps), func(ci, s int) []Violation {
-		if cc, ok := cs[ci].(cindConstraint); ok && tk != nil {
-			src, _ := snaps[s].Snapshot(cc.c.Src().Name())
-			return box(cind.DetectWithKeys(src, cc.c, tk[tkKey(cc.c)]))
-		}
 		return cs[ci].Eval(ctxs[s])
 	})
 }
@@ -291,9 +244,8 @@ func (e *Engine) DetectBatchSharded(sdb *relation.ShardedDB, cs []Constraint) ([
 	if err := CheckShardable(sdb.Partitioner(), cs); err != nil {
 		return nil, err
 	}
-	snaps := sdb.Snapshots()
 	var out []Violation
-	for _, vs := range e.shardedEvalAll(snaps, cs, buildTargetKeys(snaps, cs)) {
+	for _, vs := range e.shardedEvalAll(sdb.Snapshots(), cs) {
 		out = append(out, vs...)
 	}
 	SortViolations(out, SigmaOf(cs))
@@ -301,9 +253,8 @@ func (e *Engine) DetectBatchSharded(sdb *relation.ShardedDB, cs []Constraint) ([
 }
 
 // ShardedDBMonitor is the stateful face of incremental detection: it
-// owns an engine, the per-shard snapshots of a ShardedDB, the
-// replicated target-key indexes and the current violation set of a
-// mixed constraint batch (CFDs, CINDs, eCFDs), and keeps all of them
+// owns an engine, the per-shard snapshots of a ShardedDB and the
+// current violation set of a mixed constraint batch (CFDs, CINDs, eCFDs), and keeps all of them
 // consistent under a stream of update batches that may touch several
 // relations at once. Where Engine.DetectBatch answers "what is wrong
 // now" in full, the monitor answers "what just broke and what just got
@@ -324,7 +275,6 @@ type ShardedDBMonitor struct {
 	monitorCore
 	sdb   *relation.ShardedDB
 	snaps []*relation.DBSnapshot
-	tkeys map[string]*cind.KeyIndex
 	// panics counts the shard-apply panics ApplyRouting has recovered;
 	// atomic, because metrics scrapes read it beside the writer.
 	panics atomic.Uint64
@@ -349,12 +299,11 @@ func newShardedDBMonitor(e *Engine, sdb *relation.ShardedDB, cs []Constraint) *S
 	return m
 }
 
-// evalAll refreezes every shard, rebuilds the replicated key indexes
-// and evaluates the full batch — the seed and the full-resync fallback.
+// evalAll refreezes every shard and evaluates the full batch — the
+// seed and the full-resync fallback.
 func (m *ShardedDBMonitor) evalAll() [][]Violation {
 	m.snaps = m.sdb.Snapshots()
-	m.tkeys = buildTargetKeys(m.snaps, m.cs)
-	return m.engine.shardedEvalAll(m.snaps, m.cs, m.tkeys)
+	return m.engine.shardedEvalAll(m.snaps, m.cs)
 }
 
 // Route validates and routes a logical batch into per-shard sub-batches
@@ -479,10 +428,9 @@ func (m *ShardedDBMonitor) Apply(batch []DBOp) (gained, cleared []Violation, err
 //     the shard's own source delta with the broadcast probes of every
 //     shard's target-side changes (TouchCtx.yChanges) against this
 //     shard's old source index;
-//  4. old-side evaluation of the touched lists (against the replicated
-//     key state the old violations were computed under);
-//  5. the target-key replica absorbs the batch's target-side deltas;
-//  6. new-side evaluation, then the stored-set diff of monitorCore.
+//  4. old-side evaluation of the touched lists on the pre-batch
+//     snapshots, new-side evaluation on the post-batch ones, then the
+//     stored-set diff of monitorCore.
 func (m *ShardedDBMonitor) Sync() (gained, cleared []Violation) {
 	S := m.sdb.Shards()
 	// Phase 1 fans per shard across the worker pool: shards are
@@ -541,11 +489,7 @@ func (m *ShardedDBMonitor) Sync() (gained, cleared []Violation) {
 		return struct{}{}
 	}, func(struct{}) {})
 
-	// Old side first: the stored set was computed against the replica's
-	// pre-batch state, so re-deriving its touched restriction must probe
-	// that same state; only then does the replica absorb the deltas.
 	oldTouched := m.evalTouched(oldSnaps, touched)
-	m.applyKeyDeltas(deltas, oldSnaps, newSnaps)
 	m.snaps = newSnaps
 	return m.diff(oldTouched, m.evalTouched(newSnaps, touched))
 }
@@ -574,70 +518,32 @@ func (m *ShardedDBMonitor) collectYChanges(deltas []map[string]*relation.Delta, 
 }
 
 // evalTouched evaluates the per-(constraint, shard) touched lists over
-// the given per-shard snapshots, probing the replica's CURRENT key
-// state for CINDs (the caller sequences the replica update between the
-// old- and new-side calls). Results feed the stored-set diff, so no
-// sort.
+// the given per-shard snapshots. Results feed the stored-set diff, so
+// no sort.
 func (m *ShardedDBMonitor) evalTouched(snaps []*relation.DBSnapshot, touched [][][]relation.TID) [][]Violation {
 	// Plan only the shards with touched work: a small batch lands on one
 	// shard, and paying the per-shard plan (maps, lazy index handles) for
 	// every idle shard twice per commit would dominate the steady state.
-	ctxs := make([]*Ctx, len(snaps))
+	// A CIND with touched work probes the target on every shard, so it
+	// plans them all.
+	busy := make([]bool, len(snaps))
+	all := false
 	for ci := range touched {
+		_, isCIND := m.cs[ci].(cindConstraint)
 		for s, tl := range touched[ci] {
-			if len(tl) > 0 && ctxs[s] == nil {
-				ctxs[s] = m.engine.planBatch(snaps[s], m.cs)
+			if len(tl) > 0 {
+				busy[s] = true
+				all = all || isCIND
 			}
 		}
 	}
+	ctxs := m.engine.planShards(snaps, m.cs, func(s int) bool { return all || busy[s] })
 	return m.engine.fanShards(len(m.cs), len(snaps), func(ci, s int) []Violation {
-		tl := touched[ci][s]
-		if len(tl) == 0 {
-			return nil
+		if tl := touched[ci][s]; len(tl) > 0 {
+			return m.cs[ci].EvalTouched(ctxs[s], tl)
 		}
-		if cc, ok := m.cs[ci].(cindConstraint); ok && m.tkeys != nil {
-			src, _ := snaps[s].Snapshot(cc.c.Src().Name())
-			return box(cind.DetectTouchedWithKeys(src, cc.c, m.tkeys[tkKey(cc.c)], tl))
-		}
-		return m.cs[ci].EvalTouched(ctxs[s], tl)
+		return nil
 	})
-}
-
-// applyKeyDeltas folds the batch's target-side deltas into every
-// replicated key index: one Remove per departed key, one Add per
-// arrived key, Yp-only changes included (TargetKeyPos covers them).
-func (m *ShardedDBMonitor) applyKeyDeltas(deltas []map[string]*relation.Delta, oldSnaps, newSnaps []*relation.DBSnapshot) {
-	if m.tkeys == nil {
-		return
-	}
-	done := make(map[string]bool, len(m.tkeys))
-	buf := make([]byte, 0, 64)
-	for _, c := range m.cs {
-		cc, ok := c.(cindConstraint)
-		if !ok {
-			continue
-		}
-		key := tkKey(cc.c)
-		if done[key] {
-			continue
-		}
-		done[key] = true
-		idx := m.tkeys[key]
-		dst := cc.c.Dst().Name()
-		keyPos := cc.c.TargetKeyPos()
-		for s, ds := range deltas {
-			oldDst, _ := oldSnaps[s].Snapshot(dst)
-			newDst, _ := newSnaps[s].Snapshot(dst)
-			keyChanges(ds[dst], oldDst, newDst, keyPos, func(snap *relation.Snapshot, r int, arrived bool) {
-				buf = cind.AppendRowKey(buf[:0], snap, r, keyPos)
-				if arrived {
-					idx.Add(buf)
-				} else {
-					idx.Remove(buf)
-				}
-			})
-		}
-	}
 }
 
 // ShardCounts returns the number of current violations per shard — each

@@ -28,12 +28,22 @@ func shardableSigma() []Constraint {
 // count under the keys DeriveShardKeys picks for cs.
 func shardOrders(t *testing.T, db *relation.Database, shards int, cs []Constraint) *relation.ShardedDB {
 	t.Helper()
+	return shardOrdersKeyed(t, db, shards, cs, nil)
+}
+
+// shardOrdersKeyed is shardOrders with the derived key of every relation
+// in over replaced by its entry there.
+func shardOrdersKeyed(t *testing.T, db *relation.Database, shards int, cs []Constraint, over map[string][]int) *relation.ShardedDB {
+	t.Helper()
 	keys, err := DeriveShardKeys(cs)
 	if err != nil {
 		t.Fatalf("DeriveShardKeys: %v", err)
 	}
 	p := relation.NewPartitioner(shards)
 	for rel, pos := range keys {
+		p.SetKey(rel, pos)
+	}
+	for rel, pos := range over {
 		p.SetKey(rel, pos)
 	}
 	// Partition adopts a one-shard database instead of cutting it, so
@@ -344,6 +354,12 @@ func TestShardedDBMonitorRelationReplaced(t *testing.T) {
 // that clears a CFD violation, (b) a move-in with a smaller TID than
 // every member of the destination group — the representative-stealing
 // case — and (c) same-batch insert+move through the routing overlay.
+// Books shard on isbn, so a book moves shards without changing the Y
+// projection CINDs probe, and one can match orders of either shard; the
+// CIND rows cover (d) a key update moving the only book an order
+// matches to the other shard, (e) one batch deleting a book on one
+// shard and inserting an equal one (bar its isbn) on the other, and (f)
+// one batch changing an order and its book together.
 func TestShardedCrossShardMoves(t *testing.T) {
 	defer relation.SetShardHasherForTest(func(_ string, key []byte) uint64 {
 		for _, b := range key {
@@ -361,7 +377,7 @@ func TestShardedCrossShardMoves(t *testing.T) {
 	t1 := order.MustInsert(str("a1"), str("Z-Title"), str("book"), f(5.99))
 	t2 := order.MustInsert(str("a2"), str("Z-Title"), str("book"), f(5.99))
 
-	sdb := shardOrders(t, db, 2, cs)
+	sdb := shardOrdersKeyed(t, db, 2, cs, map[string][]int{"book": {0}})
 	if s, _ := sdb.ShardOfTID("order", t1); s != 1 {
 		t.Fatalf("Z-titled tuple should sit on shard 1, got %d", s)
 	}
@@ -415,6 +431,62 @@ func TestShardedCrossShardMoves(t *testing.T) {
 	)
 	if s, ok := sdb.ShardOfTID("order", fresh); !ok || s != 1 {
 		t.Fatalf("fresh tuple should sit on shard 1, got %d (ok %v)", s, ok)
+	}
+
+	// The CIND rows. ϕ(order→book) is cs[2]: an order of type book needs
+	// a book with its title and price.
+	phi := cs[2].Dep().(*cind.CIND)
+	flagged := func(id relation.TID) bool {
+		for _, v := range m.Violations() {
+			if cv, ok := v.(cind.Violation); ok && cv.CIND == phi && cv.TID == id {
+				return true
+			}
+		}
+		return false
+	}
+	onShard := func(rel string, id relation.TID, want int) {
+		t.Helper()
+		if s, ok := sdb.ShardOfTID(rel, id); !ok || s != want {
+			t.Fatalf("%s %d should sit on shard %d, got %d (ok %v)", rel, id, want, s, ok)
+		}
+	}
+	book := db.MustInstance("book")
+	b1 := book.NextTID()
+	check("insert t2's book", InsertInto("book", relation.Tuple{str("b1"), str("Plain"), f(5.99), str("hard-cover")}))
+	onShard("order", t2, 0)
+	onShard("book", b1, 0)
+	if flagged(t2) {
+		t.Fatal("t2 has its book")
+	}
+	// (d) The isbn update moves the book to shard 1, away from t2; its
+	// title and price still match t2, so nothing may change.
+	check("move t2's only book to shard 1", UpdateIn("book", b1, 0, str("Z-b1")))
+	onShard("book", b1, 1)
+	if flagged(t2) {
+		t.Fatal("t2 lost its book to a shard move")
+	}
+	// (e) Replace the book on shard 1 by an equal one on shard 0.
+	b2 := book.NextTID()
+	check("delete on shard 1, insert its equal on shard 0",
+		DeleteFrom("book", b1),
+		InsertInto("book", relation.Tuple{str("b2"), str("Plain"), f(5.99), str("hard-cover")}),
+	)
+	onShard("book", b2, 0)
+	if flagged(t2) {
+		t.Fatal("t2 lost its book to a same-batch replacement")
+	}
+	// (f) Retitle t2 and its book together: both move to shard 1, and the
+	// pair still matches; a book-less t1 price change rides along.
+	check("change an order and its book together",
+		UpdateIn("order", t2, 1, str("Z-Plain")),
+		UpdateIn("book", b2, 1, str("Z-Plain")),
+		UpdateIn("book", b2, 0, str("Z-b2")),
+		UpdateIn("order", t1, 3, f(1.99)),
+	)
+	onShard("order", t2, 1)
+	onShard("book", b2, 1)
+	if flagged(t2) || !flagged(t1) {
+		t.Fatalf("after the joint change: t2 flagged %v (want false), t1 flagged %v (want true)", flagged(t2), flagged(t1))
 	}
 }
 

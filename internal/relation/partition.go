@@ -16,7 +16,7 @@ import "sort"
 //
 // A relation without an explicit key defaults to the whole tuple, which
 // balances load but makes no constraint shard-local (fine for CIND
-// sides, which go through the replicated target-key index anyway).
+// sides, which probe the target on every shard anyway).
 type Partitioner struct {
 	shards int
 	keys   map[string][]int

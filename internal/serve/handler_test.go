@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -375,9 +376,15 @@ func TestStreamSlowConsumerResync(t *testing.T) {
 	// gate opens — the server-side image of a consumer that stopped
 	// reading (without having to fill kernel socket buffers).
 	gate := make(chan struct{})
+	var gateOnce sync.Once
+	openGate := func() { gateOnce.Do(func() { close(gate) }) }
 	h.OnEvent = func(string) { <-gate }
 	ts := httptest.NewServer(h)
 	defer ts.Close()
+	// Deferred after ts.Close, so it runs first on every exit path: a
+	// failing assertion must not leave the stalled handler blocking
+	// Close for the whole test timeout.
+	defer openGate()
 
 	resp, err := http.Get(ts.URL + "/stream")
 	if err != nil {
@@ -408,7 +415,7 @@ func TestStreamSlowConsumerResync(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	close(gate) // release the handler: it drains the buffered delta, then sees the drop
+	openGate() // release the handler: it drains the buffered delta, then sees the drop
 
 	sawResync := false
 	for ev := range events {
